@@ -137,6 +137,7 @@ impl AtomicHashTable {
 
     /// Table-wide duplicate check, used by the debug phase-boundary
     /// enforcement: the first key occupying two slots, if any.
+    #[cfg(debug_assertions)]
     fn first_duplicate(&self) -> Option<u32> {
         let mut seen = std::collections::HashSet::new();
         self.slots

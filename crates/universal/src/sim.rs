@@ -7,123 +7,125 @@
 //! between their left (LL attempt) and right (escape check) sides — a legal
 //! instantiation of the paper's "unspecified but finite" interleaving.
 
+use std::fmt;
 use std::sync::Arc;
 
-use hi_core::{EnumerableSpec, HiLevel, ObjectSpec, Pid, Progress, Roles};
+use hi_core::{EnumerableSpec, HiLevel, Pid, Progress, Roles};
 use hi_llsc::{LlscLayout, LlscOp};
 use hi_sim::{CellDomain, CellId, Implementation, MemCtx, MemSnapshot, ProcessHandle, SharedMem};
 use hi_spec::{ObservationModel, SimAudit, SimObject};
 
-use crate::codec::{AnnValue, Codec};
+use crate::codec::{AnnValue, Codec, ANN_BOT, ANN_OP, ANN_RESP};
 
-/// Program counter of one `Apply`/`ApplyReadOnly` (generic over the object's
-/// state/op/response types so equality derives without bounding the spec).
+/// Program counter of one `Apply`/`ApplyReadOnly`. States, operations and
+/// responses are held as [`Codec`] indices (`q`, `op`, `rsp`/`resp`), like
+/// the threaded backend's hot path.
 #[derive(Clone, PartialEq, Eq, Debug)]
-enum Pc<Q, O, R> {
+enum Pc {
     Idle,
     /// `ApplyReadOnly` lines 1–3: one `Load(head)`.
     ReadOnly {
-        op: O,
+        op: u64,
     },
     /// Line 4: `Store(announce[i], op)`.
     Announce {
-        op: O,
+        op: u64,
     },
     /// Line 5: `Load(announce[i])`, loop while not a response.
     LoopCheck {
-        op: O,
+        op: u64,
     },
     /// Line 6: `LL(head)` ∥ response check.
     Ll6 {
-        op: O,
+        op: u64,
         sub: LlscOp,
         right: bool,
     },
     /// Line 8: `Load(announce[priority])`.
     LoadHelp {
-        op: O,
-        q: Q,
+        op: u64,
+        q: u64,
     },
     /// Line 11: `Load(announce[i])`.
     LoadOwn {
-        op: O,
-        q: Q,
+        op: u64,
+        q: u64,
     },
     /// Line 14: `SC(head, ⟨state, ⟨rsp, j⟩⟩)`.
     Sc14 {
-        op: O,
+        op: u64,
         sub: LlscOp,
     },
     /// Line 18: `LL(announce[j])` ∥ response check.
     Ll18 {
-        op: O,
-        q: Q,
+        op: u64,
+        q: u64,
         j: usize,
-        rsp: R,
+        rsp: u64,
         sub: LlscOp,
         right: bool,
     },
     /// Line 18R.2: `RL(announce[j])` before escaping to line 24.
     Rl18 {
-        op: O,
+        op: u64,
         sub: LlscOp,
     },
     /// Line 19: `VL(head)` (one read), with `a ∈ O` so line 20 follows on
     /// success.
     Vl19 {
-        op: O,
-        q: Q,
+        op: u64,
+        q: u64,
         j: usize,
-        rsp: R,
+        rsp: u64,
     },
     /// Line 19 when `a ∉ O`: line 20 will be skipped either way.
     Vl19NonOp {
-        op: O,
-        q: Q,
+        op: u64,
+        q: u64,
         j: usize,
         a_bot: bool,
     },
     /// Line 20: `SC(announce[j], rsp)`.
     Sc20 {
-        op: O,
-        q: Q,
+        op: u64,
+        q: u64,
         j: usize,
         a_bot: bool,
         sub: LlscOp,
     },
     /// Line 21: `SC(head, ⟨q, ⊥⟩)`.
     Sc21 {
-        op: O,
+        op: u64,
         j: usize,
         a_bot: bool,
         sub: LlscOp,
     },
     /// Line 22: `RL(announce[j])`.
     Rl22 {
-        op: O,
+        op: u64,
         sub: LlscOp,
     },
     /// Line 24: `Load(announce[i])` — the response.
     ReadResp,
     /// Line 25: `LL(head)` ∥ "my response gone" check.
     Ll25 {
-        resp: R,
+        resp: u64,
         sub: LlscOp,
         right: bool,
     },
     /// Line 26: `SC(head, ⟨q, ⊥⟩)` clearing our own response.
     Sc26 {
-        resp: R,
+        resp: u64,
         sub: LlscOp,
     },
     /// Line 27: `RL(head)`.
     Rl27 {
-        resp: R,
+        resp: u64,
         sub: LlscOp,
     },
     /// Line 28: `Store(announce[i], ⊥)`.
     ClearAnn {
-        resp: R,
+        resp: u64,
     },
 }
 
@@ -225,12 +227,9 @@ impl<S: EnumerableSpec> SimUniversal<S> {
     }
 }
 
-type PcOf<S> = Pc<<S as ObjectSpec>::State, <S as ObjectSpec>::Op, <S as ObjectSpec>::Resp>;
-
 /// The per-process step machine of [`SimUniversal`].
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct UniversalProcess<S: EnumerableSpec> {
-    spec: S,
     codec: Arc<Codec<S>>,
     head: CellId,
     ann: Vec<CellId>,
@@ -241,7 +240,7 @@ pub struct UniversalProcess<S: EnumerableSpec> {
     priority: usize,
     /// Whether the RL clearing lines are enabled (§6.1 red lines).
     release: bool,
-    pc: PcOf<S>,
+    pc: Pc,
 }
 
 impl<S: EnumerableSpec> PartialEq for UniversalProcess<S> {
@@ -249,6 +248,19 @@ impl<S: EnumerableSpec> PartialEq for UniversalProcess<S> {
         // The codec is identical by construction; local state is what
         // distinguishes two processes.
         self.pid == other.pid && self.priority == other.priority && self.pc == other.pc
+    }
+}
+
+impl<S: EnumerableSpec> fmt::Debug for UniversalProcess<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The local state only, as in `eq`: the codec (with its transition
+        // table) is the same fixed value in every process, and the model
+        // checker fingerprints this rendering at every node.
+        f.debug_struct("UniversalProcess")
+            .field("pid", &self.pid)
+            .field("priority", &self.priority)
+            .field("pc", &self.pc)
+            .finish()
     }
 }
 
@@ -261,10 +273,11 @@ impl<S: EnumerableSpec> UniversalProcess<S> {
         self.codec.ann_layout()
     }
 
-    /// Reads `announce[who]` (one primitive) and decodes it.
-    fn load_ann(&self, ctx: &mut MemCtx<'_>, who: usize) -> AnnValue<S> {
+    /// Reads `announce[who]` (one primitive) and unpacks it into
+    /// `(tag, payload)`.
+    fn load_ann(&self, ctx: &mut MemCtx<'_>, who: usize) -> (u64, u64) {
         let raw = ctx.read(self.ann[who]);
-        self.codec.dec_ann(self.al().val(raw))
+        self.codec.unpack_ann(self.al().val(raw))
     }
 
     /// The rotating helping priority (exposed for progress tests).
@@ -276,7 +289,8 @@ impl<S: EnumerableSpec> UniversalProcess<S> {
 impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
     fn invoke(&mut self, op: S::Op) {
         assert_eq!(self.pc, Pc::Idle, "operation already pending");
-        self.pc = if self.spec.is_read_only(&op) {
+        let op = self.codec.op_index(&op);
+        self.pc = if self.codec.is_read_only(op) {
             Pc::ReadOnly { op }
         } else {
             Pc::Announce { op }
@@ -294,18 +308,21 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
 
             Pc::ReadOnly { op } => {
                 let raw = ctx.read(self.head);
-                let (q, _) = self.codec.dec_head(self.hl().val(raw));
-                let (_, rsp) = self.spec.apply(&q, &op);
-                return Some(rsp);
+                let (q, _) = self.codec.unpack_head(self.hl().val(raw));
+                let (_, rsp) = self.codec.transition(q, op);
+                return Some(self.codec.resp(rsp).clone());
             }
 
             Pc::Announce { op } => {
-                ctx.write(self.ann[i], self.al().reset(self.codec.enc_ann_op(&op)));
+                ctx.write(
+                    self.ann[i],
+                    self.al().reset(self.codec.pack_ann(ANN_OP, op)),
+                );
                 self.pc = Pc::LoopCheck { op };
             }
 
             Pc::LoopCheck { op } => {
-                if self.load_ann(ctx, i).is_resp() {
+                if self.load_ann(ctx, i).0 == ANN_RESP {
                     self.pc = Pc::ReadResp;
                 } else {
                     self.pc = Pc::Ll6 {
@@ -318,7 +335,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
 
             Pc::Ll6 { op, mut sub, right } => {
                 if right {
-                    if self.load_ann(ctx, i).is_resp() {
+                    if self.load_ann(ctx, i).0 == ANN_RESP {
                         self.pc = Pc::ReadResp; // 6R.2: goto line 24
                     } else {
                         self.pc = Pc::Ll6 {
@@ -330,7 +347,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
                 } else {
                     match sub.step(&self.hl(), ctx) {
                         Some(res) => {
-                            let (q, r) = self.codec.dec_head(res.val());
+                            let (q, r) = self.codec.unpack_head(res.val());
                             self.pc = match r {
                                 None => Pc::LoadHelp { op, q },
                                 Some((rsp, j)) => Pc::Ll18 {
@@ -355,9 +372,9 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
             }
 
             Pc::LoadHelp { op, q } => {
-                if let AnnValue::Op(help) = self.load_ann(ctx, self.priority) {
-                    let (state, rsp) = self.spec.apply(&q, &help);
-                    let new = self.codec.enc_head(&state, Some((&rsp, self.priority)));
+                if let (ANN_OP, help) = self.load_ann(ctx, self.priority) {
+                    let (state, rsp) = self.codec.transition(q, help);
+                    let new = self.codec.pack_head(state, Some((rsp, self.priority)));
                     self.pc = Pc::Sc14 {
                         op,
                         sub: LlscOp::sc(i, self.head, new),
@@ -368,9 +385,9 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
             }
 
             Pc::LoadOwn { op, q } => {
-                if self.load_ann(ctx, i).is_op() {
-                    let (state, rsp) = self.spec.apply(&q, &op);
-                    let new = self.codec.enc_head(&state, Some((&rsp, i)));
+                if self.load_ann(ctx, i).0 == ANN_OP {
+                    let (state, rsp) = self.codec.transition(q, op);
+                    let new = self.codec.pack_head(state, Some((rsp, i)));
                     self.pc = Pc::Sc14 {
                         op,
                         sub: LlscOp::sc(i, self.head, new),
@@ -399,7 +416,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
                 right,
             } => {
                 if right {
-                    if self.load_ann(ctx, i).is_resp() {
+                    if self.load_ann(ctx, i).0 == ANN_RESP {
                         // 18R.2: RL(announce[j]), then goto line 24.
                         self.pc = if self.release {
                             Pc::Rl18 {
@@ -422,10 +439,10 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
                 } else {
                     match sub.step(&self.al(), ctx) {
                         Some(res) => {
-                            let a = self.codec.dec_ann(res.val());
                             // Stash membership; line 19 is next.
-                            let (a_op, a_bot) = (a.is_op(), matches!(a, AnnValue::Bot));
-                            self.pc = if a_op {
+                            let (a_tag, _) = self.codec.unpack_ann(res.val());
+                            let a_bot = a_tag == ANN_BOT;
+                            self.pc = if a_tag == ANN_OP {
                                 Pc::Vl19 { op, q, j, rsp }
                             } else {
                                 // a ∉ O: line 20 will be skipped; remember ⊥-ness.
@@ -454,7 +471,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
             Pc::Vl19 { op, q, j, rsp } => {
                 let raw = ctx.read(self.head);
                 if self.hl().has(raw, i) {
-                    let new = self.codec.enc_ann_resp(&rsp);
+                    let new = self.codec.pack_ann(ANN_RESP, rsp);
                     self.pc = Pc::Sc20 {
                         op,
                         q,
@@ -472,7 +489,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
                 let raw = ctx.read(self.head);
                 if self.hl().has(raw, i) {
                     // a ∉ O: skip line 20, go straight to line 21.
-                    let new = self.codec.enc_head(&q, None);
+                    let new = self.codec.pack_head(q, None);
                     self.pc = Pc::Sc21 {
                         op,
                         j,
@@ -497,7 +514,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
                 mut sub,
             } => match sub.step(&self.al(), ctx) {
                 Some(_) => {
-                    let new = self.codec.enc_head(&q, None);
+                    let new = self.codec.pack_head(q, None);
                     self.pc = Pc::Sc21 {
                         op,
                         j,
@@ -540,16 +557,22 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
                 None => self.pc = Pc::Rl22 { op, sub },
             },
 
-            Pc::ReadResp => match self.load_ann(ctx, i) {
-                AnnValue::Resp(resp) => {
-                    self.pc = Pc::Ll25 {
-                        resp,
-                        sub: LlscOp::ll(i, self.head),
-                        right: false,
-                    };
+            Pc::ReadResp => {
+                let ann = self.al().val(ctx.read(self.ann[i]));
+                match self.codec.unpack_ann(ann) {
+                    (ANN_RESP, resp) => {
+                        self.pc = Pc::Ll25 {
+                            resp,
+                            sub: LlscOp::ll(i, self.head),
+                            right: false,
+                        };
+                    }
+                    _ => panic!(
+                        "announce[{i}] held {:?} at line 24, expected a response",
+                        self.codec.dec_ann(ann)
+                    ),
                 }
-                other => panic!("announce[{i}] held {other:?} at line 24, expected a response"),
-            },
+            }
 
             Pc::Ll25 {
                 resp,
@@ -558,7 +581,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
             } => {
                 if right {
                     let raw = ctx.read(self.head);
-                    let (_, r) = self.codec.dec_head(self.hl().val(raw));
+                    let (_, r) = self.codec.unpack_head(self.hl().val(raw));
                     if !matches!(r, Some((_, j)) if j == i) {
                         // 25R.2: our response is gone; goto line 27.
                         self.pc = if self.release {
@@ -579,9 +602,9 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
                 } else {
                     match sub.step(&self.hl(), ctx) {
                         Some(res) => {
-                            let (q, r) = self.codec.dec_head(res.val());
+                            let (q, r) = self.codec.unpack_head(res.val());
                             self.pc = if matches!(r, Some((_, j)) if j == i) {
-                                let new = self.codec.enc_head(&q, None);
+                                let new = self.codec.pack_head(q, None);
                                 Pc::Sc26 {
                                     resp,
                                     sub: LlscOp::sc(i, self.head, new),
@@ -618,7 +641,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
 
             Pc::ClearAnn { resp } => {
                 ctx.write(self.ann[i], self.al().reset(self.codec.enc_ann_bot()));
-                return Some(resp);
+                return Some(self.codec.resp(resp).clone());
             }
         }
         None
@@ -685,7 +708,6 @@ impl<S: EnumerableSpec> Implementation<S> for SimUniversal<S> {
     fn make_process(&self, pid: Pid) -> UniversalProcess<S> {
         assert!(pid.0 < self.n);
         UniversalProcess {
-            spec: self.spec.clone(),
             codec: Arc::clone(&self.codec),
             head: self.head,
             ann: self.ann.clone(),

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use hi_core::EnumerableSpec;
 use hi_llsc::PackedRLlsc;
 
-use crate::codec::{AnnValue, Codec};
+use crate::codec::{Codec, ANN_BOT, ANN_OP, ANN_RESP};
 
 /// The wait-free state-quiescent HI universal object, threaded.
 ///
@@ -150,22 +150,31 @@ pub struct UniversalHandle<'a, S: EnumerableSpec> {
 impl<S: EnumerableSpec> UniversalHandle<'_, S> {
     /// Applies `op` and returns its response. Wait-free for state-changing
     /// operations (via announce/helping), one load for read-only ones.
+    ///
+    /// After one `op → index` lookup everything runs on the codec's indices
+    /// and transition table; the response value is cloned once, at return.
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
-        if self.u.spec.is_read_only(&op) {
-            let (q, _) = self.u.codec.dec_head(self.u.head.load());
-            self.u.spec.apply(&q, &op).1
+        let c = &self.u.codec;
+        let o = c.op_index(&op);
+        let r = if c.is_read_only(o) {
+            let (q, _) = c.unpack_head(self.u.head.load());
+            c.transition(q, o).1
         } else {
-            self.apply_state_changing(&op)
-        }
+            self.apply_state_changing(o)
+        };
+        c.resp(r).clone()
     }
 
-    fn apply_state_changing(&mut self, op: &S::Op) -> S::Resp {
+    /// Lines 4–28 of Algorithm 5 for the op with index `o`; returns the
+    /// index of its response.
+    fn apply_state_changing(&mut self, o: u64) -> u64 {
         let i = self.pid;
         let u = self.u;
         let c = &u.codec;
-        u.ann[i].store(c.enc_ann_op(op)); // line 4
+        let ann_tag = |j: usize| c.unpack_ann(u.ann[j].load()).0;
+        u.ann[i].store(c.pack_ann(ANN_OP, o)); // line 4
         'outer: loop {
-            if c.dec_ann(u.ann[i].load()).is_resp() {
+            if ann_tag(i) == ANN_RESP {
                 break 'outer; // line 5
             }
             // Line 6: LL(head) ∥ response check.
@@ -173,25 +182,25 @@ impl<S: EnumerableSpec> UniversalHandle<'_, S> {
                 if let Some(v) = u.head.ll_attempt(i) {
                     break v;
                 }
-                if c.dec_ann(u.ann[i].load()).is_resp() {
+                if ann_tag(i) == ANN_RESP {
                     break 'outer; // 6R: goto line 24
                 }
             };
-            let (q, r) = c.dec_head(head_val);
-            match r {
+            let (q, pending) = c.unpack_head(head_val);
+            match pending {
                 None => {
                     // Lines 8–15: pick an operation (helped or own), apply.
-                    let (apply_op, j) = match c.dec_ann(u.ann[self.priority].load()) {
-                        AnnValue::Op(help) => (help, self.priority),
+                    let (apply_op, j) = match c.unpack_ann(u.ann[self.priority].load()) {
+                        (ANN_OP, help) => (help, self.priority),
                         _ => {
-                            if !c.dec_ann(u.ann[i].load()).is_op() {
+                            if ann_tag(i) != ANN_OP {
                                 continue 'outer; // line 11
                             }
-                            (op.clone(), i)
+                            (o, i)
                         }
                     };
-                    let (state, rsp) = u.spec.apply(&q, &apply_op);
-                    if u.head.sc(i, c.enc_head(&state, Some((&rsp, j)))) {
+                    let (state, rsp) = c.transition(q, apply_op);
+                    if u.head.sc(i, c.pack_head(state, Some((rsp, j)))) {
                         self.priority = (self.priority + 1) % u.n; // line 15
                     }
                 }
@@ -201,7 +210,7 @@ impl<S: EnumerableSpec> UniversalHandle<'_, S> {
                         if let Some(a) = u.ann[j].ll_attempt(i) {
                             break Some(a);
                         }
-                        if c.dec_ann(u.ann[i].load()).is_resp() {
+                        if ann_tag(i) == ANN_RESP {
                             if u.release {
                                 u.ann[j].rl(i); // 18R.2
                             }
@@ -209,45 +218,44 @@ impl<S: EnumerableSpec> UniversalHandle<'_, S> {
                         }
                     };
                     let Some(a_val) = a_val else { break 'outer };
-                    let a = c.dec_ann(a_val);
+                    let (a_tag, _) = c.unpack_ann(a_val);
                     if u.head.vl(i) {
                         // line 19
-                        if a.is_op() {
-                            u.ann[j].sc(i, c.enc_ann_resp(&rsp)); // line 20
+                        if a_tag == ANN_OP {
+                            u.ann[j].sc(i, c.pack_ann(ANN_RESP, rsp)); // line 20
                         }
-                        u.head.sc(i, c.enc_head(&q, None)); // line 21
+                        u.head.sc(i, c.pack_head(q, None)); // line 21
                     }
-                    if matches!(a, AnnValue::Bot) && u.release {
+                    if a_tag == ANN_BOT && u.release {
                         u.ann[j].rl(i); // line 22
                     }
                 }
             }
         }
         // Line 24.
-        let response = match c.dec_ann(u.ann[i].load()) {
-            AnnValue::Resp(r) => r,
-            other => panic!("announce[{i}] held {other:?} at line 24, expected a response"),
+        let ann = u.ann[i].load();
+        let response = match c.unpack_ann(ann) {
+            (ANN_RESP, r) => r,
+            _ => panic!(
+                "announce[{i}] held {:?} at line 24, expected a response",
+                c.dec_ann(ann)
+            ),
         };
+        let mine = |v: u64| matches!(c.unpack_head(v).1, Some((_, j)) if j == i);
         // Line 25: LL(head) ∥ "my response is gone" check.
         let ll_result = loop {
             if let Some(v) = u.head.ll_attempt(i) {
                 break Some(v);
             }
-            let (_, r) = c.dec_head(u.head.load());
-            if !matches!(r, Some((_, j)) if j == i) {
+            if !mine(u.head.load()) {
                 break None; // 25R.2: goto line 27
             }
         };
         match ll_result {
-            Some(v) => {
-                let (q, r) = c.dec_head(v);
-                if matches!(r, Some((_, j)) if j == i) {
-                    u.head.sc(i, c.enc_head(&q, None)); // line 26
-                } else if u.release {
-                    u.head.rl(i); // line 27
-                }
+            Some(v) if mine(v) => {
+                u.head.sc(i, c.pack_head(c.unpack_head(v).0, None)); // line 26
             }
-            None => {
+            _ => {
                 if u.release {
                     u.head.rl(i); // line 27
                 }

@@ -7,10 +7,11 @@
 //! non-zero in the past, because the observer can see that some
 //! state-changing operation was performed on it."
 
+use hi_concurrent::api::{ConcurrentObject, ObjectHandle, UniversalObject};
 use hi_concurrent::sim::{run_workload, Executor, Pid, Seeded, Workload};
 use hi_concurrent::spec::{linearize, LinOptions};
 use hi_concurrent::universal::SimUniversal;
-use hi_core::objects::{CounterOp, CounterSpec};
+use hi_core::objects::{CounterOp, CounterResp, CounterSpec};
 
 const MAX_STEPS: u64 = 500_000;
 
@@ -147,5 +148,37 @@ fn ablated_variant_leaks_under_some_random_schedule() {
     assert!(
         leaked,
         "no random schedule exhibited the context leak — suspicious"
+    );
+}
+
+#[test]
+fn threaded_ablation_leaks_a_context_bit() {
+    // The threaded twin of `release_lines_make_the_difference`: one solo
+    // Inc through the facade. Without line 27's RL, the LL of line 25 leaves
+    // its context bit on `head`; with it, memory is canonical.
+    let run = |obj: &mut UniversalObject<CounterSpec>| {
+        let mut handles = obj.handles();
+        assert_eq!(handles[0].apply(CounterOp::Inc), CounterResp::Ack);
+        drop(handles);
+        let q = obj.abstract_state();
+        assert_eq!(q, 1);
+        (obj.mem_snapshot(), obj.backend().canonical(&q))
+    };
+
+    let mut full = UniversalObject::new(CounterSpec::new(0, 10, 0), 1);
+    let (mem, canonical) = run(&mut full);
+    assert_eq!(mem, canonical, "with RL, the quiescent memory is canonical");
+    assert_eq!(full.canonical(&1), Some(canonical));
+
+    let mut ablated = UniversalObject::without_release(CounterSpec::new(0, 10, 0), 1);
+    let (mem, canonical) = run(&mut ablated);
+    assert_ne!(
+        mem, canonical,
+        "without RL, a leftover context bit betrays the operation"
+    );
+    assert_eq!(
+        mem[1..],
+        canonical[1..],
+        "the leak is in head alone: announce[0] is back to ⊥"
     );
 }

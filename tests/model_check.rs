@@ -139,6 +139,49 @@ fn certification_is_deterministic() {
     assert_eq!(a, b);
 }
 
+/// The small-scope certification of Algorithm 5's registry entries, pinned
+/// at the default seed. The codec fixes every word the construction writes,
+/// so any change to it or to the step machines that alters the model —
+/// the words, the step boundaries, the helping order — shows up here as a
+/// reviewed diff of these figures.
+#[test]
+fn universal_certification_is_pinned() {
+    // (name, certified_paths, distinct_configs, hi_points, linearized)
+    const PINNED: [(&str, u64, u64, u64, u64); 4] = [
+        ("universal/counter-n3", 40_920, 786, 309, 94),
+        (
+            "universal/register-k4-n2",
+            33_968_244_107_655_216,
+            249_197,
+            295,
+            90,
+        ),
+        ("universal/queue-t3-n3", 40_920, 2_519, 224, 102),
+        ("universal/counter-no-release", 35_960, 761, 0, 94),
+    ];
+    let cfg = ExhaustiveConfig::new(7, OPS_PER_PID);
+    let registry = registry();
+    for (name, certified, configs, hi_points, linearized) in PINNED {
+        let scenario = registry
+            .iter()
+            .find(|s| s.name == name)
+            .expect("scenario exists");
+        let r = scenario
+            .check_exhaustive(&cfg)
+            .unwrap_or_else(|e| panic!("{name} failed to certify: {e}"));
+        assert_eq!(
+            (
+                r.stats.certified_paths,
+                r.stats.distinct_configs,
+                r.hi_points,
+                r.linearized
+            ),
+            (certified, configs, hi_points, linearized),
+            "{name}: (certified_paths, distinct_configs, hi_points, linearized) moved"
+        );
+    }
+}
+
 /// The single-crash lane: wait-free scenarios also certify when every
 /// choice point of the fault-free prefix branches into a variant where one
 /// mid-operation process crashes forever (the paper's adversary). Blocking
