@@ -11,7 +11,7 @@
 //! | [`UniversalObject`] | `AtomicUniversal` | Algorithm 5 | `n` symmetric | state-quiescent |
 //! | [`MaxRegisterObject`] | `AtomicMaxRegister` | §5.1 | SWSR | state-quiescent |
 //! | [`HiSetObject`] | `AtomicHiSet` | §5.1 | `n` symmetric | perfect |
-//! | [`HashTableObject`] | `AtomicHiHashTable` | follow-up (2503.21016) | `n` symmetric | state-quiescent |
+//! | [`HashTableObject`] | `ResizableHiShard` at a fixed capacity | follow-up (2503.21016) | `n` symmetric | state-quiescent |
 //! | [`ShardedTableObject`] | `ShardedHiHashTable` | scale-out (online resize) | `n` symmetric | state-quiescent |
 
 pub mod hashtable;

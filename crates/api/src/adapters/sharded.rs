@@ -208,7 +208,7 @@ impl<S: KeySetSpec> ConcurrentObject<S> for ShardedTableObject<S> {
     fn progress(&self) -> Progress {
         // Updates serialize through their shard's seqlock (though shards
         // are independent: a crash wedges one shard, not the table) — the
-        // same class as the single table, for the same reason.
+        // same class as the fixed-capacity table, for the same reason.
         Progress::Blocking
     }
 
@@ -224,7 +224,7 @@ impl<S: KeySetSpec> ConcurrentObject<S> for ShardedTableObject<S> {
     fn mem_snapshot(&self) -> Vec<u64> {
         // Per shard: the capacity word then the live arena prefix. The
         // seqlock words are synchronization state and excluded, as in the
-        // single-table adapter.
+        // fixed-capacity adapter.
         self.table.memory()
     }
 

@@ -16,7 +16,6 @@ use hi_core::objects::{
     BoundedQueueSpec, CounterSpec, HashSetSpec, MaxRegisterSpec, MultiRegisterSpec, SetSpec,
 };
 use hi_core::{EnumerableSpec, HiLevel, Progress, Roles};
-use hi_hashtable::SimHiHashTable;
 use hi_llsc::{RLlscSpec, SimRLlsc};
 use hi_queue::PositionalQueue;
 use hi_registers::{
@@ -464,15 +463,15 @@ pub fn registry() -> Vec<Scenario> {
             "hashtable/robinhood-t8-n3",
             "follow-up paper direction: phase-free Robin Hood HI hash table",
             || HashTableObject::new(HashSetSpec::new(HT_T), HT_CAP, HT_N),
-            || SimHiHashTable::new(HT_T, HT_CAP, HT_N),
-            || SimHiHashTable::new(SMALL_HT_T, SMALL_HT_CAP, SMALL_HT_N),
+            || SimShardedTable::new(HT_T, 1, HT_CAP, HT_N),
+            || SimShardedTable::new(SMALL_HT_T, 1, SMALL_HT_CAP, SMALL_HT_N),
         ),
         Scenario::of(
             "hashtable/robinhood-dense-t6-n2",
             "the same table at 0.75 max load factor: long probe chains, heavy shifting",
             || HashTableObject::new(HashSetSpec::new(HT_DENSE_T), HT_DENSE_CAP, HT_DENSE_N),
-            || SimHiHashTable::new(HT_DENSE_T, HT_DENSE_CAP, HT_DENSE_N),
-            || SimHiHashTable::new(SMALL_HT_DENSE_T, SMALL_HT_DENSE_CAP, SMALL_HT_N),
+            || SimShardedTable::new(HT_DENSE_T, 1, HT_DENSE_CAP, HT_DENSE_N),
+            || SimShardedTable::new(SMALL_HT_DENSE_T, 1, SMALL_HT_DENSE_CAP, SMALL_HT_N),
         ),
         Scenario::of(
             "hashtable/sharded-s4-t8",
@@ -534,4 +533,27 @@ pub fn registry() -> Vec<Scenario> {
 /// Looks up a scenario by name.
 pub fn scenario(name: &str) -> Option<Scenario> {
     registry().into_iter().find(|s| s.name == name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hi_shard::cap_for;
+
+    #[test]
+    fn robinhood_sim_twins_never_migrate() {
+        // The robinhood entries model the fixed-capacity table as a
+        // one-shard sim at its base capacity. Every instance, the downsized
+        // ones only the model checker runs included, must keep its whole
+        // domain under the 3/4 load bound, so the twin never takes a
+        // capacity-changing path the threaded adapter cannot.
+        for (t, cap) in [
+            (HT_T, HT_CAP),
+            (HT_DENSE_T, HT_DENSE_CAP),
+            (SMALL_HT_T, SMALL_HT_CAP),
+            (SMALL_HT_DENSE_T, SMALL_HT_DENSE_CAP),
+        ] {
+            assert_eq!(cap_for(t as usize, cap), cap, "t = {t}, capacity {cap}");
+        }
+    }
 }

@@ -19,13 +19,13 @@
 //! universal construction (Algorithm 5) is exactly what removes this
 //! same-type restriction — at the cost of serializing through `head`.
 //!
-//! [`threaded::AtomicHiHashTable`] removes the restriction *natively*,
-//! following the authors' follow-up *History-Independent Concurrent Hash
-//! Tables* (arXiv:2503.21016): insert, remove and lookup interleave
-//! arbitrarily, lookups are lock-free, and the slot array is canonical at
-//! every state-quiescent point. [`sim::SimHiHashTable`] is its slot-level
-//! simulator twin, pluggable into `hi_sim`/`hi_spec` for scheduler-driven
-//! auditing.
+//! The phase-free table of the authors' follow-up *History-Independent
+//! Concurrent Hash Tables* (arXiv:2503.21016) — insert, remove and lookup
+//! interleaving arbitrarily over the same canonical layout — lives in
+//! `hi_shard`: one Robin Hood engine whose single-table form is a
+//! one-shard table at its base capacity. This crate keeps the pure
+//! primitives it and every oracle share ([`slot_of`], [`incumbent_wins`],
+//! [`carry_writes`], [`canonical_layout`]).
 //!
 //! [`seq::TombstoneHashTable`] is the contrast: classic tombstone deletion
 //! leaks deleted keys' past presence — the table equivalent of the §4
@@ -33,13 +33,9 @@
 
 pub mod phase;
 pub mod seq;
-pub mod sim;
-pub mod threaded;
 
 pub use phase::AtomicHashTable;
 pub use seq::{HiHashTable, TombstoneHashTable};
-pub use sim::SimHiHashTable;
-pub use threaded::AtomicHiHashTable;
 
 /// The hash function shared by all tables: a fixed multiplicative hash.
 /// Fixed (not randomized) so the canonical layout is determined at
@@ -71,7 +67,7 @@ pub fn incumbent_wins(incumbent: u32, candidate: u32, slot: usize, capacity: usi
 
 /// The canonical Robin Hood layout of a key set: every key inserted into a
 /// fresh sequential [`HiHashTable`] — the unique representation the
-/// concurrent backends, their sim twin and the test oracles all compare
+/// concurrent backends, the sim twin and the test oracles all compare
 /// against.
 ///
 /// # Panics
@@ -85,17 +81,6 @@ pub fn canonical_layout(capacity: usize, keys: impl IntoIterator<Item = u32>) ->
     oracle.memory().to_vec()
 }
 
-/// [`canonical_layout`] of a `HashSetSpec`-style state bitmask (bit `e` set
-/// iff element `e` of `1..=t` is present), widened to the `Vec<u64>` shape
-/// all `mem(C)` snapshots use. The one oracle both the threaded facade
-/// adapter and the sim twin audit against.
-pub fn canonical_slots_of_mask(capacity: usize, t: u32, state: u64) -> Vec<u64> {
-    canonical_layout(capacity, (1..=t).filter(|e| state & (1 << e) != 0))
-        .into_iter()
-        .map(u64::from)
-        .collect()
-}
-
 /// The Robin Hood carry of `key` through the contiguous occupied `run`
 /// starting at slot `a` (the run must end just before an empty slot): the
 /// `(slot, value)` writes that turn the run into the post-insert layout.
@@ -103,8 +88,10 @@ pub fn canonical_slots_of_mask(capacity: usize, t: u32, state: u64) -> Vec<u64> 
 /// The writes come **far-end first** — the duplicate-then-overwrite order:
 /// the carry moves each displaced incumbent strictly forward, so every write
 /// lands a key *before* the write that overwrites its old copy, and no
-/// present key is ever absent from memory mid-rewrite. Shared by the
-/// threaded backend and its sim twin so the two can never drift.
+/// present key is ever absent from memory mid-rewrite. The threaded
+/// shard's off-boundary insert applies these writes; the sim twin's
+/// migration planner emits exactly the same ones (pinned by an equivalence
+/// test in `hi_shard::resize`).
 pub fn carry_writes(key: u32, a: usize, run: &[u32], capacity: usize) -> Vec<(usize, u32)> {
     // new[j] is the post-insert content of slot (a + j) % capacity.
     let mut new = Vec::with_capacity(run.len() + 1);

@@ -66,9 +66,8 @@ impl AtomicHashTable {
     /// exclusivity) debug-checks the whole table, and drivers can call
     /// [`debug_enforce_unique`](AtomicHashTable::debug_enforce_unique)
     /// between phases. Callers that need racing duplicate inserts should
-    /// use the phase-free
-    /// [`threaded::AtomicHiHashTable`](crate::threaded::AtomicHiHashTable),
-    /// which serializes updates and handles them by construction.
+    /// use the phase-free `hi_shard::ResizableHiShard`, which serializes
+    /// updates and handles them by construction.
     ///
     /// # Panics
     ///

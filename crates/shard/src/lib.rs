@@ -1,15 +1,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-//! Scale-out for the HI hash table: a hash-partitioned **table of tables**
-//! over the canonical Robin Hood layout, with **online resize** — the first
-//! backend in the workspace whose memory representation changes capacity at
-//! run time while staying history-independent.
+//! The workspace's one phase-free Robin Hood HI engine, and its scale-out:
+//! a hash-partitioned **table of tables** over the canonical Robin Hood
+//! layout, with **online resize** — memory whose capacity changes at run
+//! time while staying history-independent. The single fixed-capacity table
+//! is the degenerate case: one [`ResizableHiShard`] whose base capacity
+//! fits its whole domain never migrates, and one-shard [`SimShardedTable`]
+//! is its simulator twin.
 //!
 //! # Why sharding composes with history independence
 //!
-//! A single [`AtomicHiHashTable`](hi_hashtable::AtomicHiHashTable) is
-//! capacity-fixed, and auditing it at scale means linearizing the whole
-//! table at once. Partitioning the domain by a fixed **shard map**
+//! One shard serializes all updates, and auditing it at scale means
+//! linearizing the whole table at once. Partitioning the domain by a fixed
+//! **shard map**
 //! ([`shard_of`]: split-hash → shard) makes each shard an independent HI
 //! object over its slice of the key set, in the style of segmented
 //! invariant confluence: the global canonical representation is the
@@ -45,6 +48,8 @@
 //! * [`shard_of`] / [`cap_for`] — the pure routing and capacity rules.
 //! * [`resize::rewrite_plan`] — the canonical-to-canonical in-place
 //!   migration order (chains and cycles, far-end first).
+//! * [`threaded::ResizableHiShard`] — the engine: one seqlocked,
+//!   resizable Robin Hood arena with lock-free lookups.
 //! * [`threaded::ShardedHiHashTable`] — the concurrent table of tables.
 //! * [`sim::SimShardedTable`] — its slot-level simulator twin, whose
 //!   `hi_audit` composes per-shard `DirectCanonical` views.

@@ -142,7 +142,7 @@ pub fn rewrite_plan(current: &[u32], target: &[u32]) -> Vec<(usize, u32)> {
 mod tests {
     use super::*;
     use hi_core::SplitMix64;
-    use hi_hashtable::canonical_layout;
+    use hi_hashtable::{canonical_layout, carry_writes, displacement, incumbent_wins, slot_of};
 
     /// Applies `plan` to a copy of `current`, asserting the never-absent
     /// and no-invented-keys invariants at every write prefix. Returns the
@@ -255,5 +255,98 @@ mod tests {
         assert!(cycled, "the spare cell was never used");
         assert_eq!(plan.first(), Some(&(3, 1)), "entry key parked in the spare");
         assert_eq!(plan.last(), Some(&(3, 0)), "spare cleared at the end");
+    }
+
+    /// The insert fast path's writes: probe for absent `key`'s insertion
+    /// point in the canonical image `mem`, collect the occupied run behind
+    /// it, and carry — exactly as `ResizableHiShard::insert` does
+    /// off-boundary.
+    fn carry_of(mem: &[u32], key: u32) -> Vec<(usize, u32)> {
+        let cap = mem.len();
+        let mut a = slot_of(key, cap);
+        while mem[a] != 0 && incumbent_wins(mem[a], key, a, cap) {
+            a = (a + 1) % cap;
+        }
+        let mut run = Vec::new();
+        let mut z = a;
+        while mem[z] != 0 {
+            run.push(mem[z]);
+            z = (z + 1) % cap;
+        }
+        carry_writes(key, a, &run, cap)
+    }
+
+    /// The remove fast path's writes: the backward shift from the hole at
+    /// `p`, near-end first, then the clear of the run's last slot —
+    /// exactly as `ResizableHiShard::remove` does off-boundary.
+    fn shift_of(mem: &[u32], p: usize) -> Vec<(usize, u32)> {
+        let cap = mem.len();
+        let mut writes = Vec::new();
+        let mut hole = p;
+        loop {
+            let next = (hole + 1) % cap;
+            let occ = mem[next];
+            if occ == 0 || displacement(occ, next, cap) == 0 {
+                break;
+            }
+            writes.push((hole, occ));
+            hole = next;
+        }
+        writes.push((hole, 0));
+        writes
+    }
+
+    #[test]
+    fn off_boundary_plans_equal_the_fast_paths() {
+        // The sim twin always plans with `rewrite_plan`; the threaded shard
+        // takes the carry / backward-shift fast paths whenever the capacity
+        // stays put. Over random canonical images at arbitrary capacities,
+        // every capacity-preserving insert and remove must plan the fast
+        // path's writes in the fast path's order — what lets the one twin
+        // model both threaded paths write for write.
+        let mut rng = SplitMix64::new(0x0ff_b0da);
+        let (mut inserts, mut removes) = (0usize, 0usize);
+        for _ in 0..300 {
+            let cap = 2 + rng.below(38); // 2..=39
+            let domain = 4 * cap as u32;
+            let count = rng.below(3 * cap / 4 + 1);
+            let mut keys: Vec<u32> = Vec::new();
+            while keys.len() < count {
+                let k = 1 + rng.below(domain as usize) as u32;
+                if !keys.contains(&k) {
+                    keys.push(k);
+                }
+            }
+            let current = canonical_layout(cap, keys.iter().copied());
+            for k in 1..=domain {
+                let with_or_without: Vec<u32> = if keys.contains(&k) {
+                    keys.iter().copied().filter(|&x| x != k).collect()
+                } else if 4 * (count + 1) <= 3 * cap {
+                    keys.iter().copied().chain([k]).collect()
+                } else {
+                    continue; // the insert would cross a capacity boundary
+                };
+                let target = canonical_layout(cap, with_or_without);
+                let fast = match current.iter().position(|&x| x == k) {
+                    Some(p) => {
+                        removes += 1;
+                        shift_of(&current, p)
+                    }
+                    None => {
+                        inserts += 1;
+                        carry_of(&current, k)
+                    }
+                };
+                assert_eq!(
+                    rewrite_plan(&current, &target),
+                    fast,
+                    "cap {cap}, keys {keys:?}: update of {k} planned off the fast path"
+                );
+            }
+        }
+        assert!(
+            inserts > 10_000 && removes > 1_000,
+            "too few updates compared: {inserts} inserts, {removes} removes"
+        );
     }
 }

@@ -17,11 +17,15 @@
 //! One deliberate simplification versus the threaded backend: updates
 //! here always take the migration path (snapshot the arena cell by cell,
 //! plan with [`rewrite_plan`](crate::resize::rewrite_plan), write the
-//! difference) instead of branching into the single-table carry fast
-//! paths. Off-boundary, the plan's writes rewrite exactly the cells the
-//! carry would; on-boundary, the machine exercises precisely the
-//! never-absent migration order the threaded resize uses — which is the
-//! behavior the schedule explorer needs to certify.
+//! difference) instead of branching into the carry and backward-shift fast
+//! paths. Off-boundary, the plan emits exactly the fast paths' writes in
+//! exactly their order (pinned by `off_boundary_plans_equal_the_fast_paths`
+//! in [`resize`](crate::resize)); on-boundary, the machine exercises
+//! precisely the never-absent migration order the threaded resize uses. So
+//! the one twin models every threaded write sequence, write for write;
+//! only the lock holder's reads differ (a full arena scan instead of a
+//! probe walk). At one shard whose base capacity fits the whole domain it
+//! is the twin of the single fixed-capacity table.
 
 use hi_core::objects::{HashSetOp, HashSetResp, HashSetSpec};
 use hi_core::{HiLevel, Pid, Progress, Roles};
@@ -507,8 +511,9 @@ impl SimObject<HashSetSpec> for SimShardedTable {
     fn progress(&self) -> Progress {
         // Per-shard seqlocks: an updater crashing inside a critical
         // section (worst case: mid-migration) wedges that shard's updates
-        // and absent-verdict lookups forever. Same class and same ROADMAP
-        // follow-up as the single-table backend.
+        // and absent-verdict lookups forever. Migrating updates to
+        // lock-free helping (arXiv:2503.21016) is the ROADMAP follow-up
+        // this class will graduate from.
         Progress::Blocking
     }
 
@@ -597,6 +602,35 @@ mod tests {
             imp.observed_view(&exec.snapshot()),
             imp.canonical_view_of(0)
         );
+    }
+
+    #[test]
+    fn lookup_retries_while_an_update_is_in_flight() {
+        // One shard at a fixed capacity (base 8 fits all 6 keys): the
+        // insert below is an off-boundary carry, not a migration.
+        let imp = SimShardedTable::new(6, 1, 8, 2);
+        let mut exec = Executor::new(imp);
+        exec.run_op_solo(Pid(0), HashSetOp::Insert(2), 10_000)
+            .unwrap();
+        // Start an insert on pid 0 and stall it right after lock acquisition.
+        exec.invoke(Pid(0), HashSetOp::Insert(5));
+        for _ in 0..3 {
+            assert!(exec.step(Pid(0)).is_none());
+        }
+        // A lookup for an absent key cannot produce a verdict while the
+        // seqlock is odd: it keeps cycling through its retry loop.
+        exec.invoke(Pid(1), HashSetOp::Contains(4));
+        for _ in 0..40 {
+            assert!(
+                exec.step(Pid(1)).is_none(),
+                "absent verdict accepted while an update was in flight"
+            );
+        }
+        // Present keys are still sighted mid-update.
+        let resp = exec.run_solo(Pid(0), 10_000).unwrap().1;
+        assert_eq!(resp, HashSetResp::Bool(true));
+        let resp = exec.run_solo(Pid(1), 10_000).unwrap().1;
+        assert_eq!(resp, HashSetResp::Bool(false));
     }
 
     #[test]

@@ -1,16 +1,35 @@
-//! The concurrent sharded HI hash table: a table of independently locked,
-//! independently **resizable** Robin Hood shards, phase-free like
-//! [`AtomicHiHashTable`](hi_hashtable::AtomicHiHashTable) — inserts,
-//! removes and lookups interleave arbitrarily — but with per-shard update
-//! locks (updates to *different* shards run fully in parallel) and online
-//! capacity migration.
+//! The phase-free concurrent HI hash table — the workspace's one Robin
+//! Hood engine, following the direction of the authors' follow-up
+//! *History-Independent Concurrent Hash Tables* (arXiv:2503.21016):
+//! inserts, removes and lookups interleave arbitrarily from any number of
+//! threads. [`ResizableHiShard`] is the engine; [`ShardedHiHashTable`]
+//! composes independently locked, independently **resizable** shards
+//! (updates to *different* shards run fully in parallel). A single
+//! fixed-capacity table is one shard whose base capacity already fits its
+//! whole domain (`cap_for(t, base) == base`), so it never migrates —
+//! `hi_api`'s `HashTableObject` is exactly that.
 //!
 //! # Protocol
 //!
-//! Each [`ResizableHiShard`] runs the seqlock protocol of the single
-//! table: updates CAS the shard's `seq` word even→odd, rewrite slots, and
-//! store `+2`; lookups are lock-free, sighting keys without validation and
-//! revalidating `seq` for absent verdicts. Two extensions:
+//! The memory representation is the canonical Robin Hood array of
+//! [`HiHashTable`](hi_hashtable::HiHashTable): linear probing, the fixed
+//! priority rule of [`incumbent_wins`], backward-shift deletion, no
+//! tombstones. Concurrency is split by operation kind:
+//!
+//! * **Lookups never block and never write.** A `contains` walks the probe
+//!   sequence; sighting the key anywhere is a valid *present* verdict at
+//!   the instant of that read. An *absent* verdict is accepted only if the
+//!   shard's seqlock word (`seq`) is even and unchanged across the whole
+//!   walk, i.e. the walk ran inside an update-free window where the array
+//!   is canonical and the Robin Hood terminator genuinely proves absence.
+//!   Otherwise the walk retries, so lookups are lock-free.
+//! * **Updates serialize through `seq`** (CAS even→odd to acquire, store
+//!   +2 to release) and rewrite slots in a *duplicate-then-overwrite*
+//!   order, so **no present key is ever absent from the array
+//!   mid-update**: an insert's displacement chain is written far-end first
+//!   ([`carry_writes`]), a removal's backward shift near-end first.
+//!
+//! Two extensions make a shard resizable:
 //!
 //! * **Logical capacity.** The shard owns a fixed physical arena (sized
 //!   once, from the worst-case key count of its domain slice) but uses
@@ -24,9 +43,8 @@
 //!   [`rewrite_plan`](crate::resize::rewrite_plan)'s never-absent write
 //!   order, then publishes the new `cap`. Lookups running through the
 //!   migration can still sight every surviving key; absent verdicts retry
-//!   because `seq` is odd. Off-boundary updates take the same O(probe-run)
-//!   fast paths as the single table (shared
-//!   [`carry_writes`](hi_hashtable::carry_writes) / backward shift).
+//!   because `seq` is odd. Off-boundary updates take the O(probe-run)
+//!   fast paths above.
 //!
 //! The shard map ([`shard_of`]) is fixed, so the **global** memory
 //! representation — per shard, the capacity word followed by the live
@@ -35,11 +53,14 @@
 //! [`ShardedHiHashTable::memory`] exposes and
 //! [`ShardedHiHashTable::canonical_memory`] predicts.
 //!
-//! Honest reductions, mirrored in the ROADMAP: a resize serializes its
-//! own shard (other shards proceed; lookups of present keys proceed), the
-//! per-shard seqlock words still leak update counts, updates within one
-//! shard are Blocking, and the shard *count* is fixed at construction —
-//! only capacity scales online, not the shard map itself.
+//! Honest reductions, mirrored in the ROADMAP: updates within one shard
+//! are mutually exclusive (`Progress::Blocking`) where the follow-up
+//! paper's are lock-free; a resize serializes its own shard (other shards
+//! proceed; lookups of present keys proceed); the per-shard seqlock words
+//! are operation counters, so they leak an update count (the paper's
+//! bounded-timestamp machinery would be needed to remove it); and the
+//! shard *count* is fixed at construction — only capacity scales online,
+//! not the shard map itself.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -239,7 +260,7 @@ impl ResizableHiShard {
             self.arena.len()
         );
         if new_cap == cap {
-            // Off-boundary fast path: the single-table Robin Hood carry.
+            // Off-boundary fast path: the Robin Hood carry.
             let mut run = Vec::new();
             let mut z = a;
             loop {
@@ -493,6 +514,7 @@ impl ShardedHiHashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hi_hashtable::HiHashTable;
     use rand::prelude::*;
     use rand::rngs::StdRng;
     use std::collections::BTreeSet;
@@ -567,37 +589,47 @@ mod tests {
 
     #[test]
     fn mixed_concurrent_workload_converges_to_canonical() {
-        for seed in 0..8u64 {
-            let table = ShardedHiHashTable::new(96, 4, 2);
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(seed * 17 + t);
-                        for _ in 0..600 {
-                            let k = rng.gen_range(1u32..=96);
-                            match rng.gen_range(0u8..3) {
-                                0 => {
-                                    table.insert(k);
-                                }
-                                1 => {
-                                    table.remove(k);
-                                }
-                                _ => {
-                                    table.contains(k);
-                                }
+        // The phase-free headline: inserts, removes and lookups from all
+        // threads at once, no phase discipline anywhere — across resizing
+        // shards, and in one shard at a fixed capacity.
+        for (domain, shards, base, seeds) in [(96u32, 4usize, 2usize, 0..8u64), (39, 1, 64, 8..20)]
+        {
+            for seed in seeds {
+                let table = ShardedHiHashTable::new(domain, shards, base);
+                mixed_workload(&table, seed);
+                assert!(table.is_quiescent());
+                assert_eq!(
+                    table.memory(),
+                    table.canonical_memory(table.keys()),
+                    "seed {seed}: quiescent memory is not canonical for its own key set"
+                );
+            }
+        }
+    }
+
+    /// Four threads apply 600 random inserts, removes and lookups each.
+    fn mixed_workload(table: &ShardedHiHashTable, seed: u64) {
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed * 17 + t);
+                    for _ in 0..600 {
+                        let k = rng.gen_range(1u32..=table.t());
+                        match rng.gen_range(0u8..3) {
+                            0 => {
+                                table.insert(k);
+                            }
+                            1 => {
+                                table.remove(k);
+                            }
+                            _ => {
+                                table.contains(k);
                             }
                         }
-                    });
-                }
-            });
-            assert!(table.is_quiescent());
-            assert_eq!(
-                table.memory(),
-                table.canonical_memory(table.keys()),
-                "seed {seed}: quiescent memory is not canonical for its own key set"
-            );
-        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -640,23 +672,27 @@ mod tests {
 
     #[test]
     fn racing_duplicate_inserts_place_exactly_one_copy() {
-        for _ in 0..50 {
-            let table = ShardedHiHashTable::new(32, 2, 2);
-            let successes = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    let table = &table;
-                    let successes = &successes;
-                    s.spawn(move || {
-                        if table.insert(7) {
-                            successes.fetch_add(1, ORD);
-                        }
-                    });
-                }
-            });
-            assert_eq!(successes.load(ORD), 1, "exactly one insert wins");
-            let copies = table.memory().into_iter().filter(|&v| v == 7).count();
-            assert_eq!(copies, 1, "exactly one copy in memory");
+        // Updates serialize per shard, so exactly one of the racing
+        // inserts reports success — with or without a resize on the way.
+        for (t, shards, base) in [(32u32, 2usize, 2usize), (12, 1, 16)] {
+            for _ in 0..50 {
+                let table = ShardedHiHashTable::new(t, shards, base);
+                let successes = std::sync::atomic::AtomicUsize::new(0);
+                std::thread::scope(|s| {
+                    for _ in 0..4 {
+                        let table = &table;
+                        let successes = &successes;
+                        s.spawn(move || {
+                            if table.insert(7) {
+                                successes.fetch_add(1, ORD);
+                            }
+                        });
+                    }
+                });
+                assert_eq!(successes.load(ORD), 1, "exactly one insert wins");
+                let copies = table.memory().into_iter().filter(|&v| v == 7).count();
+                assert_eq!(copies, 1, "exactly one copy in memory");
+            }
         }
     }
 
@@ -680,6 +716,141 @@ mod tests {
         });
         assert_eq!(table.len(), 1 << 12);
         assert_eq!(table.memory(), table.canonical_memory(1..=(1u32 << 12)));
+    }
+
+    /// A shard's slot array: its view minus the capacity word.
+    fn slots(shard: &ResizableHiShard) -> Vec<u32> {
+        shard.view()[1..].iter().map(|&v| v as u32).collect()
+    }
+
+    #[test]
+    fn sequential_equivalence_single_thread() {
+        // At a fixed capacity (base 32 fits 24 keys, so it never moves) the
+        // shard is the sequential table, slot for slot.
+        let shard = ResizableHiShard::new(32, 24);
+        let mut reference = HiHashTable::new(32);
+        for k in [5u32, 21, 37, 9, 13, 45] {
+            assert!(shard.insert(k));
+            reference.insert(k);
+        }
+        assert!(!shard.insert(21), "duplicate rejected");
+        assert_eq!(slots(&shard), reference.memory());
+        assert!(shard.contains(37));
+        assert!(!shard.contains(99));
+        assert!(shard.remove(21));
+        assert!(!shard.remove(21));
+        reference.remove(21);
+        assert_eq!(slots(&shard), reference.memory());
+        assert_eq!(shard.resizes(), 0);
+    }
+
+    #[test]
+    fn len_tracks_the_key_count() {
+        let shard = ResizableHiShard::new(8, 6);
+        assert!(shard.is_empty());
+        for (i, k) in [4u32, 9, 13].into_iter().enumerate() {
+            shard.insert(k);
+            assert_eq!(shard.len(), i + 1);
+        }
+        shard.insert(9); // duplicate: no growth
+        assert_eq!(shard.len(), 3);
+        shard.remove(4);
+        shard.remove(4); // absent: no shrink
+        assert_eq!(shard.len(), 2);
+    }
+
+    #[test]
+    fn capacity_minus_one_keys_still_work() {
+        // 3 keys in 4 slots is the 3/4 load bound: one slot stays empty, so
+        // every probe walk (an absent lookup's included) terminates.
+        let shard = ResizableHiShard::new(4, 3);
+        for k in 1..=3u32 {
+            assert!(shard.insert(k));
+        }
+        assert!(shard.contains(2));
+        assert!(
+            !shard.contains(9),
+            "absent lookup terminates at the reserved empty slot"
+        );
+        assert!(shard.remove(2));
+        assert!(shard.insert(9));
+        assert_eq!(slots(&shard).iter().filter(|&&k| k == 0).count(), 1);
+        assert_eq!(shard.capacity(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the provisioned arena")]
+    fn filling_the_last_slot_is_rejected() {
+        // The arena must never become full: a full array has no probe
+        // terminator, which would livelock concurrent lookups and leave
+        // probe_locked without an answer. A 4-slot arena provisioned for 3
+        // keys cannot grow, so the 4th key is refused.
+        let shard = ResizableHiShard::new(4, 3);
+        for k in 1..=4u32 {
+            shard.insert(k);
+        }
+    }
+
+    #[test]
+    fn lookups_never_miss_a_stable_key() {
+        // Key 1 is inserted once and never removed; all other keys churn in
+        // one shard at a fixed capacity (base 32 fits 24 keys, so it never
+        // migrates). Every contains(1) must return true, however the carries
+        // and backward shifts move the array around it.
+        let shard = ResizableHiShard::new(32, 24);
+        assert!(shard.insert(1));
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let shard = &shard;
+            let stop = &stop;
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(99);
+                while !stop.load(ORD) {
+                    let k = rng.gen_range(2u32..24);
+                    if rng.gen_bool(0.5) {
+                        shard.insert(k);
+                    } else {
+                        shard.remove(k);
+                    }
+                }
+            });
+            s.spawn(move || {
+                for _ in 0..20_000 {
+                    assert!(shard.contains(1), "a present key was missed");
+                }
+                stop.store(true, ORD);
+            });
+        });
+        assert_eq!(shard.resizes(), 0, "a fixed capacity never migrates");
+    }
+
+    #[test]
+    fn detour_histories_share_memory() {
+        // History independence across real-thread histories at a fixed
+        // capacity: a shard that took detours (inserted and removed extra
+        // keys, concurrently) ends with the same memory as one built
+        // directly.
+        let direct = ResizableHiShard::new(32, 24);
+        for k in [3u32, 11, 19, 27] {
+            direct.insert(k);
+        }
+        let detour = ResizableHiShard::new(32, 24);
+        std::thread::scope(|s| {
+            let detour = &detour;
+            s.spawn(move || {
+                for k in [3u32, 11, 19, 27] {
+                    detour.insert(k);
+                }
+            });
+            s.spawn(move || {
+                for k in 40u32..60 {
+                    detour.insert(k);
+                    detour.remove(k);
+                }
+            });
+        });
+        assert_eq!(direct.view(), detour.view());
+        assert_eq!(detour.resizes(), 0, "a fixed capacity never migrates");
     }
 
     #[test]

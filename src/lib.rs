@@ -26,11 +26,12 @@
 //!   from atomic CAS.
 //! * [`universal`] — Algorithm 5: the wait-free state-quiescent HI universal
 //!   construction, plus baselines.
-//! * [`hashtable`] — HI hash tables: the sequential canonical Robin Hood
-//!   table, the phase-concurrent table of [42], and the phase-free
-//!   concurrent table (arXiv:2503.21016 direction) with its simulator twin.
-//! * [`shard`] — scale-out: the sharded table-of-tables with per-shard
-//!   seqlocks and **online resize** (capacity as part of the canonical
+//! * [`hashtable`] — HI hash tables: the shared Robin Hood primitives, the
+//!   sequential canonical table and the phase-concurrent table of [42].
+//! * [`shard`] — the phase-free concurrent Robin Hood engine
+//!   (arXiv:2503.21016 direction; a fixed-capacity table is one shard) and
+//!   its scale-out: the sharded table-of-tables with per-shard seqlocks
+//!   and **online resize** (capacity as part of the canonical
 //!   representation, never-absent in-place migration), plus its simulator
 //!   twin with a composed per-shard `DirectCanonical` audit.
 //! * [`lowerbound`] — the executable §5.2/§5.4 impossibility adversaries.

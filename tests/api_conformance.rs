@@ -158,7 +158,6 @@ fn every_exported_adapter_appears_in_the_registry() {
         "PositionalQueue",
         "MaxRegister",
         "HiSet",
-        "SimHiHashTable",
         "SimShardedTable",
         "SimRLlsc",
         "SimUniversal",

@@ -1,4 +1,5 @@
-//! Dedicated crash sweep for the phase-free HI hash table: the updater is
+//! Dedicated crash sweep for the phase-free HI hash table at a fixed
+//! capacity (one shard whose base capacity is 9): the updater is
 //! crashed at **every** transition of a multi-slot rewrite, and the
 //! duplicate-then-overwrite write order must keep every surviving key
 //! visible in memory at every intermediate step — the paper's
@@ -10,9 +11,12 @@
 //! at slots 8, 0, 1, 2. Removing 8 backward-shifts three keys (4 slot
 //! writes); re-inserting it carries three incumbents forward (4 slot
 //! writes). Both sweeps crash the updater at every point of those
-//! rewrites.
+//! rewrites. Four keys stay under the 3/4 load bound of 9 slots, so the
+//! capacity never moves and both updates are the off-boundary carry and
+//! backward shift.
 
-use hi_concurrent::hashtable::{slot_of, SimHiHashTable};
+use hi_concurrent::hashtable::slot_of;
+use hi_concurrent::shard::SimShardedTable;
 use hi_concurrent::sim::{
     run_workload_with_faults, Executor, FaultPlan, Faulty, Pid, Scripted, Workload,
 };
@@ -21,10 +25,11 @@ use hi_core::objects::{HashSetOp, HashSetResp};
 
 const T: u32 = 8;
 const CAP: usize = 9;
-/// Upper bound on the updater's transition count through one rewrite
-/// (acquire 2, probe 1, scan 4, writes 4 + release); sweeping past it also
-/// covers "crash after completion".
-const SWEEP: u64 = 16;
+/// Upper bound on the updater's transition count through one rewrite:
+/// invocation 1, acquire 2, capacity read 1, a scan of the whole arena
+/// (provisioned at `cap_for(8, 9) = 18` cells), 4 writes and the release —
+/// 27 in all. Sweeping past it also covers "crash after completion".
+const SWEEP: u64 = 32;
 
 const UPDATER: Pid = Pid(0);
 
@@ -35,8 +40,8 @@ fn run_keys() -> Vec<u32> {
     vec![8, 6, 4, 2]
 }
 
-fn table() -> SimHiHashTable {
-    let imp = SimHiHashTable::new(T, CAP, 2);
+fn table() -> SimShardedTable {
+    let imp = SimShardedTable::new(T, 1, CAP, 2);
     // The collision structure the whole file depends on; if the hash ever
     // changes, fail here with a clear message rather than in a sweep.
     for k in [4, 6, 8] {
@@ -50,7 +55,7 @@ fn table() -> SimHiHashTable {
 }
 
 /// Seeds the table with `keys` via solo (quiescent) operations.
-fn seed_table(exec: &mut Executor<hi_core::objects::HashSetSpec, SimHiHashTable>, keys: &[u32]) {
+fn seed_table(exec: &mut Executor<hi_core::objects::HashSetSpec, SimShardedTable>, keys: &[u32]) {
     for &k in keys {
         let resp = exec
             .run_op_solo(UPDATER, HashSetOp::Insert(k), 10_000)
@@ -67,7 +72,7 @@ fn seed_table(exec: &mut Executor<hi_core::objects::HashSetSpec, SimHiHashTable>
 /// duplicate-then-overwrite invariant, checked against raw memory exactly
 /// as the crash adversary would.
 fn crash_rewrite(
-    imp: &SimHiHashTable,
+    imp: &SimShardedTable,
     setup: &[u32],
     update: HashSetOp,
     witnesses: &[u32],
@@ -80,7 +85,7 @@ fn crash_rewrite(
     // The updater runs first so the crash point lands inside its rewrite;
     // the reader drains afterwards against the frozen memory.
     let mut faulty = Faulty::new(
-        Scripted::runs(&[(0, 32)]),
+        Scripted::runs(&[(0, SWEEP as usize)]),
         FaultPlan::crash(UPDATER, crash_after),
         2,
     );
@@ -92,7 +97,7 @@ fn crash_rewrite(
         |e, _f| {
             let snap = e.snapshot();
             for &k in witnesses {
-                if !imp.slots_of(&snap).contains(&u64::from(k)) {
+                if !arena(&snap).contains(&u64::from(k)) {
                     absent = Some((k, snap.clone()));
                 }
             }
@@ -104,7 +109,7 @@ fn crash_rewrite(
         panic!(
             "crash at {crash_after}: present key {k} vanished mid-rewrite \
              (duplicate-then-overwrite violated): slots {:?}",
-            imp.slots_of(&snap)
+            imp.observed_view(&snap)
         );
     }
     // Every Contains over a present key must have sighted it — even with
@@ -130,18 +135,32 @@ fn crash_rewrite(
 /// observation point. (An odd seqlock word means the crash wedged the
 /// update mid-critical-section; `Progress::Blocking` tolerates that, and no
 /// state-quiescent point ever comes.)
-fn audit_if_quiescent(imp: &SimHiHashTable, snap: &[u64], crash_after: u64) -> bool {
+fn audit_if_quiescent(imp: &SimShardedTable, snap: &[u64], crash_after: u64) -> bool {
     let seq = snap[0];
     if seq % 2 != 0 {
         return false;
     }
     let state = imp.decode_state(snap);
     assert_eq!(
-        imp.slots_of(snap),
-        imp.canonical_slots(state).as_slice(),
+        imp.observed_view(snap),
+        imp.canonical_view_of(state),
         "crash at {crash_after}: state-quiescent memory is not canonical for {state:#b}"
     );
     true
+}
+
+/// The arena cells of a snapshot: the one shard's seqlock and capacity
+/// words dropped.
+fn arena(snap: &[u64]) -> &[u64] {
+    &snap[2..]
+}
+
+/// Whether the crash-free tail of the sweep ran the update to completion:
+/// the last crash point must leave a quiescent image in which `key`'s
+/// presence is `present` — otherwise `SWEEP` is too small to reach
+/// "crash after completion".
+fn completed(imp: &SimShardedTable, snap: &[u64], key: u32, present: bool) -> bool {
+    snap[0] % 2 == 0 && (imp.decode_state(snap) & (1 << key) != 0) == present
 }
 
 #[test]
@@ -155,6 +174,12 @@ fn remove_crashed_at_every_step_never_hides_a_surviving_key() {
     let mut wedged_points = 0;
     for crash_after in 0..=SWEEP {
         let snap = crash_rewrite(&imp, &setup, HashSetOp::Remove(8), &witnesses, crash_after);
+        if crash_after == SWEEP {
+            assert!(
+                completed(&imp, &snap, 8, false),
+                "the sweep stops short of completion"
+            );
+        }
         if audit_if_quiescent(&imp, &snap, crash_after) {
             quiescent_points += 1;
         } else {
@@ -181,6 +206,12 @@ fn insert_crashed_at_every_step_never_hides_a_surviving_key() {
     let mut quiescent_points = 0;
     for crash_after in 0..=SWEEP {
         let snap = crash_rewrite(&imp, &setup, HashSetOp::Insert(8), &witnesses, crash_after);
+        if crash_after == SWEEP {
+            assert!(
+                completed(&imp, &snap, 8, true),
+                "the sweep stops short of completion"
+            );
+        }
         if audit_if_quiescent(&imp, &snap, crash_after) {
             quiescent_points += 1;
         }

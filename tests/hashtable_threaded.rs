@@ -1,13 +1,36 @@
-//! Property-based stress of the phase-free concurrent HI hash table:
-//! random concurrent insert/remove/lookup schedules on real threads, with
-//! the quiescent memory checked against the canonical `HiHashTable` layout
-//! of the surviving key set, and the full histories checked for
-//! linearizability through `hi_api::drive`.
+//! Property-based stress of the phase-free concurrent HI hash table at a
+//! fixed capacity — one `ResizableHiShard` whose base capacity fits every
+//! key the test uses, so it never migrates: random concurrent
+//! insert/remove/lookup schedules on real threads, with the quiescent
+//! memory checked against the canonical `HiHashTable` layout of the
+//! surviving key set, and the full histories checked for linearizability
+//! through `hi_api::drive`.
 
 use hi_concurrent::api::{drive, ConcurrentObject, DriveConfig, HashTableObject};
-use hi_concurrent::hashtable::{canonical_layout, AtomicHiHashTable};
+use hi_concurrent::hashtable::canonical_layout;
+use hi_concurrent::shard::ResizableHiShard;
 use hi_core::objects::HashSetSpec;
 use proptest::prelude::*;
+
+/// A shard fixed at `capacity` slots: provisioned for the most keys that
+/// capacity holds under the 3/4 load bound, so it can never resize.
+fn fixed_table(capacity: usize) -> ResizableHiShard {
+    let table = ResizableHiShard::new(capacity, 3 * capacity / 4);
+    assert_eq!(table.arena_len(), capacity, "the capacity must stay fixed");
+    table
+}
+
+/// The slot array: the shard's view minus its capacity word.
+fn memory(table: &ResizableHiShard) -> Vec<u32> {
+    table.view()[1..].iter().map(|&v| v as u32).collect()
+}
+
+/// The sorted keys the slot array holds.
+fn sorted_keys(table: &ResizableHiShard) -> Vec<u32> {
+    let mut keys: Vec<u32> = memory(table).into_iter().filter(|&k| k != 0).collect();
+    keys.sort_unstable();
+    keys
+}
 
 /// The canonical layout of whatever key set `mem` holds.
 fn canonical_of(mem: &[u32], capacity: usize) -> Vec<u32> {
@@ -28,7 +51,7 @@ proptest! {
         ),
     ) {
         let capacity = 32;
-        let table = AtomicHiHashTable::new(capacity);
+        let table = fixed_table(capacity);
         std::thread::scope(|s| {
             for script in &scripts {
                 let table = &table;
@@ -49,14 +72,14 @@ proptest! {
                 });
             }
         });
-        let mem = table.memory();
+        let mem = memory(&table);
         prop_assert_eq!(
             &mem,
             &canonical_of(&mem, capacity),
             "quiescent memory is not canonical for its own key set"
         );
         // Membership must agree with the decoded set at quiescence.
-        let keys = table.keys();
+        let keys = sorted_keys(&table);
         for k in 1u32..20 {
             prop_assert_eq!(table.contains(k), keys.contains(&k));
         }
@@ -70,11 +93,11 @@ proptest! {
         detours in prop::collection::vec(24u32..48, 0..8),
     ) {
         let capacity = 32;
-        let direct = AtomicHiHashTable::new(capacity);
+        let direct = fixed_table(capacity);
         for &k in &keys {
             direct.insert(k);
         }
-        let noisy = AtomicHiHashTable::new(capacity);
+        let noisy = fixed_table(capacity);
         std::thread::scope(|s| {
             let noisy = &noisy;
             let keys = &keys;
@@ -93,7 +116,7 @@ proptest! {
                 }
             });
         });
-        prop_assert_eq!(direct.memory(), noisy.memory());
+        prop_assert_eq!(memory(&direct), memory(&noisy));
     }
 
     /// The full facade audit: random threaded workloads linearize against
@@ -121,7 +144,7 @@ fn lookups_stay_lock_free_under_update_storms() {
     // third thread issues lookups for a pinned key and for a never-present
     // key; every answer must be exact, and the lookup thread must finish
     // (lock-freedom in practice: no lookup spins forever).
-    let table = AtomicHiHashTable::new(64);
+    let table = fixed_table(64);
     assert!(table.insert(50));
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -151,6 +174,6 @@ fn lookups_stay_lock_free_under_update_storms() {
             stop.store(true, std::sync::atomic::Ordering::SeqCst);
         });
     });
-    let mem = table.memory();
+    let mem = memory(&table);
     assert_eq!(mem, canonical_of(&mem, 64));
 }

@@ -92,11 +92,6 @@ const ORDERING_ALLOWLIST: &[(&str, usize, &str)] = &[
         "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
     ),
     (
-        "crates/hashtable/src/threaded.rs",
-        1,
-        "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
-    ),
-    (
         "crates/llsc/src/threaded.rs",
         1,
         "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
