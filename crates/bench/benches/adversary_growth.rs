@@ -6,46 +6,29 @@
 //! no knee where the reader escapes — while Algorithm 4 terminates the run
 //! early at some small round count regardless of the budget.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hi_bench::Group;
 use hi_core::objects::{BoundedQueueSpec, MultiRegisterSpec};
 use hi_lowerbound::{run_adversary, CtScript, QueuePeekScript};
 use hi_queue::PositionalQueue;
 use hi_registers::{LockFreeHiRegister, WaitFreeHiRegister};
 
-fn bench_adversary(c: &mut Criterion) {
-    let mut group = c.benchmark_group("adversary_growth");
-    group.sample_size(10);
+fn main() {
+    let group = Group::new("adversary_growth");
     for rounds in [10u64, 100, 1_000] {
-        group.bench_with_input(
-            BenchmarkId::new("alg2_register_k4", rounds),
-            &rounds,
-            |b, &rounds| {
-                let imp = LockFreeHiRegister::new(4, 1);
-                let script = CtScript::new(MultiRegisterSpec::new(4, 1));
-                b.iter(|| run_adversary(&imp, &script, rounds, 10_000).unwrap().rounds)
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("queue_peek_t3", rounds),
-            &rounds,
-            |b, &rounds| {
-                let imp = PositionalQueue::new(3, 2);
-                let script = QueuePeekScript::new(BoundedQueueSpec::new(3, 2));
-                b.iter(|| run_adversary(&imp, &script, rounds, 10_000).unwrap().rounds)
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("alg4_escapes", rounds),
-            &rounds,
-            |b, &rounds| {
-                let imp = WaitFreeHiRegister::new(4, 1);
-                let script = CtScript::new(MultiRegisterSpec::new(4, 1));
-                b.iter(|| run_adversary(&imp, &script, rounds, 10_000).unwrap().rounds)
-            },
-        );
+        let imp = LockFreeHiRegister::new(4, 1);
+        let script = CtScript::new(MultiRegisterSpec::new(4, 1));
+        group.bench(format!("alg2_register_k4/{rounds}"), || {
+            run_adversary(&imp, &script, rounds, 10_000).unwrap().rounds
+        });
+        let imp = PositionalQueue::new(3, 2);
+        let script = QueuePeekScript::new(BoundedQueueSpec::new(3, 2));
+        group.bench(format!("queue_peek_t3/{rounds}"), || {
+            run_adversary(&imp, &script, rounds, 10_000).unwrap().rounds
+        });
+        let imp = WaitFreeHiRegister::new(4, 1);
+        let script = CtScript::new(MultiRegisterSpec::new(4, 1));
+        group.bench(format!("alg4_escapes/{rounds}"), || {
+            run_adversary(&imp, &script, rounds, 10_000).unwrap().rounds
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_adversary);
-criterion_main!(benches);

@@ -3,11 +3,10 @@
 //! scenarios and emitted as a machine-readable `BENCH_api_throughput.json`
 //! at the workspace root (the perf-trajectory seed).
 //!
-//! This harness is deliberately criterion-free: the vendored criterion
-//! stand-in collects no statistics, so the bench times the registry's pure
-//! throughput runner (`Scenario::run_throughput` — no stamping, no history,
-//! no checking) directly with `std::time::Instant`, takes the best of a few
-//! rounds, and records ops/sec.
+//! The bench times the registry's pure throughput runner
+//! (`Scenario::run_throughput` — no stamping, no history, no checking)
+//! directly with `std::time::Instant`, takes the best of a few rounds, and
+//! records ops/sec.
 //!
 //! ```sh
 //! cargo bench --bench api_throughput
@@ -16,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use hi_api::registry;
-use hi_bench::json::{write_summary, BenchRecord};
+use hi_bench::json::{ops_per_sec, write_summary, Json};
 
 const OPS_PER_HANDLE: usize = 20_000;
 const WARMUP_ROUNDS: usize = 1;
@@ -24,7 +23,7 @@ const MEASURED_ROUNDS: usize = 3;
 const SEED: u64 = 0xbe7c;
 
 fn main() {
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     println!("{:32} {:>12} {:>14}", "scenario", "ops", "ops/sec");
     for scenario in registry() {
         for _ in 0..WARMUP_ROUNDS {
@@ -40,20 +39,16 @@ fn main() {
             }
         }
         let (ops, elapsed) = best.expect("at least one measured round");
-        let record = BenchRecord {
-            scenario: scenario.name.to_string(),
-            ops,
-            elapsed,
-        };
-        println!(
-            "{:32} {:>12} {:>14.0}",
-            scenario.name,
-            ops,
-            record.ops_per_sec()
-        );
-        records.push(record);
+        let rate = ops_per_sec(ops, elapsed);
+        println!("{:32} {:>12} {:>14.0}", scenario.name, ops, rate);
+        rows.push(Json::obj([
+            ("scenario", scenario.name.into()),
+            ("ops", ops.into()),
+            ("elapsed_ns", elapsed.as_nanos().into()),
+            ("ops_per_sec", Json::fixed(rate, 1)),
+        ]));
     }
-    match write_summary("api_throughput", &records) {
+    match write_summary("api_throughput", "ops_per_sec", rows) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\ncould not write JSON summary: {e}"),
     }

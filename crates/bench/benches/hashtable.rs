@@ -6,80 +6,62 @@
 //! chains), and its deletes cost the backward shift; the concurrent insert
 //! phase scales with threads.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hi_bench::Group;
 use hi_hashtable::{AtomicHashTable, HiHashTable, TombstoneHashTable};
 
 const N_KEYS: u32 = 512;
 const CAPACITY: usize = 1024;
 
-fn bench_sequential(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hashtable_sequential");
-    group.throughput(Throughput::Elements(u64::from(N_KEYS)));
-    group.bench_function("hi_insert_all", |b| {
-        b.iter(|| {
-            let mut t = HiHashTable::new(CAPACITY);
-            for k in 1..=N_KEYS {
-                t.insert(k.wrapping_mul(2654435761) % 100_000 + 1);
-            }
-            t.len()
-        })
-    });
-    group.bench_function("tombstone_insert_all", |b| {
-        b.iter(|| {
-            let mut t = TombstoneHashTable::new(CAPACITY);
-            for k in 1..=N_KEYS {
-                t.insert(k.wrapping_mul(2654435761) % 100_000 + 1);
-            }
-            t.memory().len()
-        })
-    });
-    group.bench_function("hi_insert_delete_churn", |b| {
-        b.iter(|| {
-            let mut t = HiHashTable::new(CAPACITY);
-            for k in 1..=N_KEYS {
-                let key = k.wrapping_mul(2654435761) % 100_000 + 1;
-                t.insert(key);
-                if k % 2 == 0 {
-                    t.remove(key);
-                }
-            }
-            t.len()
-        })
-    });
-    group.finish();
+fn key(k: u32) -> u32 {
+    k.wrapping_mul(2654435761) % 100_000 + 1
 }
 
-fn bench_concurrent_phase(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hashtable_insert_phase");
-    group.sample_size(20);
+fn main() {
+    let mut group = Group::new("hashtable_sequential");
+    group.throughput(u64::from(N_KEYS));
+    group.bench("hi_insert_all", || {
+        let mut t = HiHashTable::new(CAPACITY);
+        for k in 1..=N_KEYS {
+            t.insert(key(k));
+        }
+        t.len()
+    });
+    group.bench("tombstone_insert_all", || {
+        let mut t = TombstoneHashTable::new(CAPACITY);
+        for k in 1..=N_KEYS {
+            t.insert(key(k));
+        }
+        t.memory().len()
+    });
+    group.bench("hi_insert_delete_churn", || {
+        let mut t = HiHashTable::new(CAPACITY);
+        for k in 1..=N_KEYS {
+            let x = key(k);
+            t.insert(x);
+            if k % 2 == 0 {
+                t.remove(x);
+            }
+        }
+        t.len()
+    });
+
+    let mut group = Group::new("hashtable_insert_phase").samples(20);
+    group.throughput(u64::from(N_KEYS));
     for threads in [1usize, 2, 4] {
-        group.throughput(Throughput::Elements(u64::from(N_KEYS)));
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let table = AtomicHashTable::new(CAPACITY);
-                    let keys: Vec<u32> = (1..=N_KEYS)
-                        .map(|k| k.wrapping_mul(2654435761) % 100_000 + 1)
-                        .collect();
-                    std::thread::scope(|s| {
-                        for chunk in keys.chunks(keys.len().div_ceil(threads)) {
-                            let table = &table;
-                            s.spawn(move || {
-                                for &k in chunk {
-                                    table.insert(k);
-                                }
-                            });
+        group.bench(format!("threads/{threads}"), || {
+            let table = AtomicHashTable::new(CAPACITY);
+            let keys: Vec<u32> = (1..=N_KEYS).map(key).collect();
+            std::thread::scope(|s| {
+                for chunk in keys.chunks(keys.len().div_ceil(threads)) {
+                    let table = &table;
+                    s.spawn(move || {
+                        for &k in chunk {
+                            table.insert(k);
                         }
                     });
-                    table.capacity()
-                })
-            },
-        );
+                }
+            });
+            table.capacity()
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_sequential, bench_concurrent_phase);
-criterion_main!(benches);

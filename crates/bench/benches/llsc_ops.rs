@@ -5,62 +5,45 @@
 //! read + CAS when uncontended; under contention LL/SC retry (lock-free, not
 //! wait-free) — the reason Algorithm 5 layers helping on top.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use hi_bench::Group;
 use hi_llsc::{LlscLayout, PackedRLlsc};
 
-fn bench_solo_ops(c: &mut Criterion) {
-    let mut group = c.benchmark_group("llsc_solo");
+fn main() {
+    let group = Group::new("llsc_solo");
     let x = PackedRLlsc::new(LlscLayout::new(32, 8), 0);
-    group.bench_function("load", |b| b.iter(|| x.load()));
-    group.bench_function("vl", |b| b.iter(|| x.vl(0)));
-    group.bench_function("store", |b| b.iter(|| x.store(7)));
-    group.bench_function("ll_rl", |b| {
-        b.iter(|| {
-            x.ll(0);
-            x.rl(0)
-        })
+    group.bench("load", || x.load());
+    group.bench("vl", || x.vl(0));
+    group.bench("store", || x.store(7));
+    group.bench("ll_rl", || {
+        x.ll(0);
+        x.rl(0)
     });
-    group.bench_function("ll_sc", |b| {
-        b.iter(|| {
-            x.ll(0);
-            x.sc(0, 9)
-        })
+    group.bench("ll_sc", || {
+        x.ll(0);
+        x.sc(0, 9)
     });
-    group.finish();
-}
 
-fn bench_contended_sc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("llsc_contended");
-    group.sample_size(15);
+    let group = Group::new("llsc_contended").samples(15);
     for threads in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("ll_sc_interference", threads),
-            &threads,
-            |b, &threads| {
-                let x = PackedRLlsc::new(LlscLayout::new(32, 8), 0);
-                let stop = std::sync::atomic::AtomicBool::new(false);
-                std::thread::scope(|s| {
-                    for pid in 1..threads {
-                        let x = &x;
-                        let stop = &stop;
-                        s.spawn(move || {
-                            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                                x.ll(pid);
-                                x.sc(pid, pid as u64);
-                            }
-                        });
+        let x = PackedRLlsc::new(LlscLayout::new(32, 8), 0);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for pid in 1..threads {
+                let (x, stop) = (&x, &stop);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        x.ll(pid);
+                        x.sc(pid, pid as u64);
                     }
-                    b.iter(|| {
-                        x.ll(0);
-                        x.sc(0, 42)
-                    });
-                    stop.store(true, std::sync::atomic::Ordering::Relaxed);
                 });
-            },
-        );
+            }
+            group.bench(format!("ll_sc_interference/{threads}"), || {
+                x.ll(0);
+                x.sc(0, 42)
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_solo_ops, bench_contended_sc);
-criterion_main!(benches);

@@ -14,11 +14,10 @@
 //! (the B/flag helping protocol), and both scale linearly in K, while the
 //! non-HI baseline (Algorithm 1) writes in O(v) only.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hi_bench::run_to_completion;
+use hi_bench::{run_to_completion, Group};
 use hi_core::objects::{MultiRegisterSpec, RegisterOp};
 use hi_registers::{LockFreeHiRegister, VidyasankarRegister, WaitFreeHiRegister};
-use hi_sim::{RoundRobin, Workload};
+use hi_sim::{Implementation, RoundRobin, Workload};
 
 fn write_read_workload(k: u64, pairs: usize) -> Workload<MultiRegisterSpec> {
     let mut w = Workload::new(2);
@@ -29,48 +28,36 @@ fn write_read_workload(k: u64, pairs: usize) -> Workload<MultiRegisterSpec> {
     w
 }
 
-fn bench_table1(c: &mut Criterion) {
-    let k = 8;
-    let pairs = 32;
-    let mut group = c.benchmark_group("table1");
-    group.bench_function(BenchmarkId::new("alg1_waitfree_not_hi", k), |b| {
-        let imp = VidyasankarRegister::new(k, 1);
-        b.iter(|| {
-            run_to_completion(
-                &imp,
-                write_read_workload(k, pairs),
-                &mut RoundRobin::new(),
-                1 << 20,
-            )
-        })
+fn bench_cell<I: Implementation<MultiRegisterSpec>>(group: &Group, name: &str, k: u64, imp: I) {
+    group.bench(format!("{name}/{k}"), || {
+        run_to_completion(
+            &imp,
+            write_read_workload(k, 32),
+            &mut RoundRobin::new(),
+            1 << 20,
+        )
     });
-    group.bench_function(
-        BenchmarkId::new("alg2_lockfree_state_quiescent_hi", k),
-        |b| {
-            let imp = LockFreeHiRegister::new(k, 1);
-            b.iter(|| {
-                run_to_completion(
-                    &imp,
-                    write_read_workload(k, pairs),
-                    &mut RoundRobin::new(),
-                    1 << 20,
-                )
-            })
-        },
-    );
-    group.bench_function(BenchmarkId::new("alg4_waitfree_quiescent_hi", k), |b| {
-        let imp = WaitFreeHiRegister::new(k, 1);
-        b.iter(|| {
-            run_to_completion(
-                &imp,
-                write_read_workload(k, pairs),
-                &mut RoundRobin::new(),
-                1 << 20,
-            )
-        })
-    });
-    group.finish();
 }
 
-criterion_group!(benches, bench_table1);
-criterion_main!(benches);
+fn main() {
+    let k = 8;
+    let group = Group::new("table1");
+    bench_cell(
+        &group,
+        "alg1_waitfree_not_hi",
+        k,
+        VidyasankarRegister::new(k, 1),
+    );
+    bench_cell(
+        &group,
+        "alg2_lockfree_state_quiescent_hi",
+        k,
+        LockFreeHiRegister::new(k, 1),
+    );
+    bench_cell(
+        &group,
+        "alg4_waitfree_quiescent_hi",
+        k,
+        WaitFreeHiRegister::new(k, 1),
+    );
+}

@@ -7,11 +7,10 @@
 //! 5's throughput degrades gracefully (helping), while the CAS loop's
 //! retries burn cycles.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hi_api::{ConcurrentObject, ObjectHandle, UniversalObject};
-use hi_bench::run_to_completion;
+use hi_bench::{run_to_completion, Group};
 use hi_core::objects::{CounterOp, CounterSpec};
-use hi_sim::{RoundRobin, Workload};
+use hi_sim::{Implementation, RoundRobin, Workload};
 use hi_universal::{CasUniversal, LeakyUniversal, SimUniversal};
 
 fn counter_workload(n: usize, ops: usize) -> Workload<CounterSpec> {
@@ -35,91 +34,59 @@ fn spec() -> CounterSpec {
     CounterSpec::new(-64, 64, 0)
 }
 
-fn bench_sim_universal(c: &mut Criterion) {
-    let mut group = c.benchmark_group("universal_sim_steps");
+fn bench_sim<I: Implementation<CounterSpec>>(group: &Group, name: &str, n: usize, imp: I) {
+    group.bench(format!("{name}/{n}"), || {
+        run_to_completion(
+            &imp,
+            counter_workload(n, 16),
+            &mut RoundRobin::new(),
+            1 << 22,
+        )
+    });
+}
+
+fn bench_sim_universal() {
+    let mut group = Group::new("universal_sim_steps");
     for n in [2usize, 4, 8] {
-        let ops = 16;
-        group.throughput(Throughput::Elements((n * ops) as u64));
-        group.bench_with_input(BenchmarkId::new("algorithm5", n), &n, |b, &n| {
-            let imp = SimUniversal::new(spec(), n);
-            b.iter(|| {
-                run_to_completion(
-                    &imp,
-                    counter_workload(n, ops),
-                    &mut RoundRobin::new(),
-                    1 << 22,
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cas_baseline", n), &n, |b, &n| {
-            let imp = CasUniversal::new(spec(), n);
-            b.iter(|| {
-                run_to_completion(
-                    &imp,
-                    counter_workload(n, ops),
-                    &mut RoundRobin::new(),
-                    1 << 22,
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("leaky", n), &n, |b, &n| {
-            let imp = LeakyUniversal::new(spec(), n);
-            b.iter(|| {
-                run_to_completion(
-                    &imp,
-                    counter_workload(n, ops),
-                    &mut RoundRobin::new(),
-                    1 << 22,
-                )
-            })
-        });
+        group.throughput((n * 16) as u64);
+        bench_sim(&group, "algorithm5", n, SimUniversal::new(spec(), n));
+        bench_sim(&group, "cas_baseline", n, CasUniversal::new(spec(), n));
+        bench_sim(&group, "leaky", n, LeakyUniversal::new(spec(), n));
         // Ablation: Algorithm 5 without the RL clearing lines — measures the
         // price of the §6.1 context hygiene (it should be small; the point
         // of the paper's design is that HI costs little here).
-        group.bench_with_input(BenchmarkId::new("algorithm5_no_release", n), &n, |b, &n| {
-            let imp = SimUniversal::without_release(spec(), n);
-            b.iter(|| {
-                run_to_completion(
-                    &imp,
-                    counter_workload(n, ops),
-                    &mut RoundRobin::new(),
-                    1 << 22,
-                )
-            })
-        });
+        let no_release = SimUniversal::without_release(spec(), n);
+        bench_sim(&group, "algorithm5_no_release", n, no_release);
     }
-    group.finish();
 }
 
-fn bench_threaded_universal(c: &mut Criterion) {
-    let mut group = c.benchmark_group("universal_threaded");
-    group.sample_size(15);
+fn bench_threaded_universal() {
+    let mut group = Group::new("universal_threaded").samples(15);
+    group.throughput(2_000);
     for n in [1usize, 2, 4] {
-        group.throughput(Throughput::Elements(2_000));
-        group.bench_with_input(BenchmarkId::new("algorithm5_threads", n), &n, |b, &n| {
-            b.iter(|| {
-                // Through the unified facade: uniform handle fan-out.
-                let mut u = UniversalObject::new(CounterSpec::new(-2_000, 2_000, 0), n);
-                let handles = u.handles();
-                std::thread::scope(|s| {
-                    for mut h in handles {
-                        s.spawn(move || {
-                            for i in 0..(2_000 / n) {
-                                h.apply(if i % 2 == 0 {
-                                    CounterOp::Inc
-                                } else {
-                                    CounterOp::Dec
-                                });
-                            }
-                        });
-                    }
-                });
-                u.abstract_state()
-            })
+        group.bench(format!("algorithm5_threads/{n}"), || {
+            // Through the unified facade: uniform handle fan-out.
+            let mut u = UniversalObject::new(CounterSpec::new(-2_000, 2_000, 0), n);
+            let handles = u.handles();
+            std::thread::scope(|s| {
+                for mut h in handles {
+                    s.spawn(move || {
+                        for i in 0..(2_000 / n) {
+                            h.apply(if i % 2 == 0 {
+                                CounterOp::Inc
+                            } else {
+                                CounterOp::Dec
+                            });
+                        }
+                    });
+                }
+            });
+            u.abstract_state()
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_sim_universal, bench_threaded_universal);
-criterion_main!(benches);
+fn main() {
+    bench_sim_universal();
+    bench_threaded_universal();
+}

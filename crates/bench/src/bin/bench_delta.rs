@@ -1,13 +1,13 @@
-//! Cross-PR latency regression gate.
+//! Cross-PR regression gate.
 //!
 //! ```text
-//! bench_delta <base.json> <new.json> [--threshold <fraction>]
-//!             [--thresholds <thresholds.json>] [--out <path>] [--strict]
+//! bench_delta <base.json> <new.json> --thresholds <thresholds.json>
+//!             [--out <path>] [--strict]
 //! ```
 //!
-//! Parses two `BENCH_service_latency.json` documents, diffs the gated
-//! metrics per scenario ([`hi_bench::delta::GATED_METRICS`]), prints the
-//! rendered table (optionally also to `--out`), and exits:
+//! Parses two BENCH documents (e.g. `BENCH_service_latency.json`), diffs
+//! the gated metrics per scenario ([`hi_bench::delta::GATED_METRICS`]),
+//! prints the rendered table (optionally also to `--out`), and exits:
 //!
 //! * `0` — parsed fine; no gating regression: clean, warn-only-mode
 //!   regressions (no `--strict`), or regressions confined to scenarios the
@@ -17,42 +17,29 @@
 //! * `2` — gating regressions under `--strict`.
 //!
 //! `--thresholds` points at a committed per-scenario noise calibration
-//! ([`hi_bench::delta::Thresholds`]); without it every scenario gates at
-//! the uniform `--threshold` fraction.
+//! ([`hi_bench::delta::Thresholds`]).
 
-use hi_bench::delta::{delta_with, parse_thresholds, render_table, Thresholds};
+use hi_bench::delta::{delta_with, parse_bench_doc, parse_thresholds, render_table};
 
 struct Args {
     base: String,
     new: String,
-    threshold: f64,
-    thresholds: Option<String>,
+    thresholds: String,
     out: Option<String>,
     strict: bool,
 }
 
-const USAGE: &str = "usage: bench_delta <base.json> <new.json> [--threshold <fraction>] \
-     [--thresholds <thresholds.json>] [--out <path>] [--strict]";
+const USAGE: &str = "usage: bench_delta <base.json> <new.json> \
+     --thresholds <thresholds.json> [--out <path>] [--strict]";
 
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     let _ = argv.next(); // program name
     let mut positional = Vec::new();
-    let mut threshold = 0.25;
     let mut thresholds = None;
     let mut out = None;
     let mut strict = false;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--threshold" => {
-                threshold = argv
-                    .next()
-                    .ok_or("--threshold needs a value")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                if !(threshold >= 0.0 && threshold.is_finite()) {
-                    return Err("--threshold must be a finite non-negative fraction".to_string());
-                }
-            }
             "--thresholds" => thresholds = Some(argv.next().ok_or("--thresholds needs a path")?),
             "--out" => out = Some(argv.next().ok_or("--out needs a path")?),
             "--strict" => strict = true,
@@ -62,10 +49,10 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
         }
     }
     let [base, new] = positional.try_into().map_err(|_| USAGE.to_string())?;
+    let thresholds = thresholds.ok_or_else(|| USAGE.to_string())?;
     Ok(Args {
         base,
         new,
-        threshold,
         thresholds,
         out,
         strict,
@@ -75,14 +62,10 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
 fn run(args: &Args) -> Result<bool, String> {
     let read =
         |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let base = hi_bench::delta::parse_latency_doc(&read(&args.base)?)
-        .map_err(|e| format!("{}: {e}", args.base))?;
-    let new = hi_bench::delta::parse_latency_doc(&read(&args.new)?)
-        .map_err(|e| format!("{}: {e}", args.new))?;
-    let thresholds = match &args.thresholds {
-        Some(path) => parse_thresholds(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
-        None => Thresholds::uniform(args.threshold),
-    };
+    let base = parse_bench_doc(&read(&args.base)?).map_err(|e| format!("{}: {e}", args.base))?;
+    let new = parse_bench_doc(&read(&args.new)?).map_err(|e| format!("{}: {e}", args.new))?;
+    let path = &args.thresholds;
+    let thresholds = parse_thresholds(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     let report = delta_with(&base, &new, &thresholds);
     let table = render_table(&report);
     print!("{table}");

@@ -1,8 +1,8 @@
-//! Cross-PR latency regression gating: parses two revision-keyed
-//! `BENCH_service_latency.json` documents (the committed baseline and a
-//! freshly measured run), computes per-scenario deltas on the metrics that
-//! matter (`p50_ns`, `p99_ns`, `ops_per_sec`), and renders them as a table
-//! for the CI `bench-delta` job.
+//! Cross-PR regression gating: parses two revision-keyed BENCH documents
+//! (the committed baseline and a freshly measured run), computes
+//! per-scenario deltas on the metrics that matter (`p50_ns`, `p99_ns`,
+//! `ops_per_sec`), and renders them as a table for the CI `bench-delta`
+//! job.
 //!
 //! The comparison is deliberately noise-aware: a delta only counts as a
 //! regression when it moves in the *worse* direction (latency up,
@@ -15,241 +15,20 @@
 //! are reported as added/removed, never as regressions — a new scenario
 //! has no baseline to regress against.
 //!
-//! No serde: the parser below is a self-contained recursive-descent JSON
-//! reader, sized for the flat documents [`crate::json::render_latency`]
-//! emits but accepting any well-formed JSON (so hand-edited baselines and
-//! future extra fields keep parsing).
+//! Both BENCH documents share one schema ([`crate::json::summary`]), so
+//! the same parse → delta → table path reads either; documents are read
+//! through [`Json::parse`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are held as `f64` — every field the delta
-/// tool reads is either an exact small integer or already a float.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    /// A string.
-    Str(String),
-    /// A number.
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("JSON parse error at byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'"' => self.string().map(Json::Str),
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            c => Err(self.err(&format!("unexpected character '{}'", c as char))),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs don't occur in our documents;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        c => return Err(self.err(&format!("bad escape '\\{}'", c as char))),
-                    }
-                }
-                Some(_) => {
-                    // Copy a whole UTF-8 scalar, not a byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
+use crate::json::Json;
 
 // ---------------------------------------------------------------------------
-// Latency document model.
+// BENCH document model.
 // ---------------------------------------------------------------------------
 
-/// One scenario row of a parsed latency document: the scenario name plus
+/// One scenario row of a parsed BENCH document: the scenario name plus
 /// every numeric field, keyed by field name (so the model survives field
 /// additions without a schema change).
 #[derive(Clone, Debug, PartialEq)]
@@ -267,9 +46,9 @@ impl ScenarioRow {
     }
 }
 
-/// A parsed `BENCH_service_latency.json` document.
+/// A parsed `BENCH_<name>.json` document.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LatencyDoc {
+pub struct BenchDoc {
     /// The `bench` field (e.g. `"service_latency"`).
     pub bench: String,
     /// The git revision the document was measured at.
@@ -278,28 +57,23 @@ pub struct LatencyDoc {
     pub rows: Vec<ScenarioRow>,
 }
 
-impl LatencyDoc {
+impl BenchDoc {
     /// The row for a scenario name, if present.
     pub fn row(&self, scenario: &str) -> Option<&ScenarioRow> {
         self.rows.iter().find(|r| r.scenario == scenario)
     }
 }
 
-/// Parses a latency summary document as emitted by
-/// [`crate::json::render_latency`].
+/// Parses a BENCH summary document as written by
+/// [`crate::json::write_summary`].
 ///
 /// # Errors
 ///
 /// A human-readable message when the text is not well-formed JSON or lacks
 /// the expected top-level shape (`bench`/`revision` strings and a `results`
 /// array of objects each carrying a `"scenario"` string).
-pub fn parse_latency_doc(text: &str) -> Result<LatencyDoc, String> {
-    let mut p = Parser::new(text);
-    let doc = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after document"));
-    }
+pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
+    let doc = Json::parse(text)?;
     let bench = doc
         .get("bench")
         .and_then(Json::as_str)
@@ -331,7 +105,7 @@ pub fn parse_latency_doc(text: &str) -> Result<LatencyDoc, String> {
         }
         rows.push(ScenarioRow { scenario, metrics });
     }
-    Ok(LatencyDoc {
+    Ok(BenchDoc {
         bench,
         revision,
         rows,
@@ -368,8 +142,7 @@ pub struct Thresholds {
 }
 
 impl Thresholds {
-    /// A single threshold for every scenario, nothing warn-only — the
-    /// shape the bare `--threshold` flag produces.
+    /// A single threshold for every scenario, nothing warn-only.
     pub fn uniform(threshold: f64) -> Thresholds {
         Thresholds {
             default: threshold,
@@ -400,12 +173,7 @@ impl Thresholds {
 /// A human-readable message when the text is not well-formed JSON, the
 /// top level is not an object, or a field has the wrong shape.
 pub fn parse_thresholds(text: &str) -> Result<Thresholds, String> {
-    let mut p = Parser::new(text);
-    let doc = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after document"));
-    }
+    let doc = Json::parse(text)?;
     if !matches!(doc, Json::Obj(_)) {
         return Err("thresholds document must be an object".to_string());
     }
@@ -582,13 +350,13 @@ fn signed_rel(base: f64, new: f64) -> f64 {
     }
 }
 
-/// Compares a freshly measured latency document against a baseline with a
+/// Compares a freshly measured BENCH document against a baseline with a
 /// single uniform threshold; see [`delta_with`] for the per-scenario form.
-pub fn delta(base: &LatencyDoc, new: &LatencyDoc, threshold: f64) -> DeltaReport {
+pub fn delta(base: &BenchDoc, new: &BenchDoc, threshold: f64) -> DeltaReport {
     delta_with(base, new, &Thresholds::uniform(threshold))
 }
 
-/// Compares a freshly measured latency document against a baseline.
+/// Compares a freshly measured BENCH document against a baseline.
 ///
 /// For each scenario present in both documents, each of [`GATED_METRICS`]
 /// is compared; a move in the metric's worse direction whose magnitude
@@ -597,7 +365,7 @@ pub fn delta(base: &LatencyDoc, new: &LatencyDoc, threshold: f64) -> DeltaReport
 /// better direction, and moves within the noise threshold, never flag.
 /// Scenarios in the warn-only set still flag, but are excluded from
 /// [`DeltaReport::gating_regressions`].
-pub fn delta_with(base: &LatencyDoc, new: &LatencyDoc, thresholds: &Thresholds) -> DeltaReport {
+pub fn delta_with(base: &BenchDoc, new: &BenchDoc, thresholds: &Thresholds) -> DeltaReport {
     let mut scenarios = Vec::new();
     let mut added = Vec::new();
     for row in &new.rows {
@@ -671,7 +439,7 @@ pub fn render_table(report: &DeltaReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "service latency delta: {} -> {} (noise threshold {:.0}%)",
+        "bench delta: {} -> {} (noise threshold {:.0}%)",
         report.base_revision,
         report.new_revision,
         report.threshold * 100.0
@@ -726,39 +494,18 @@ pub fn render_table(report: &DeltaReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Histogram;
-    use crate::json::{render_latency, LatencyRecord};
-    use std::time::Duration;
+    use crate::json::summary;
+    use crate::json::tests::sample_row;
 
-    fn sample_record(scenario: &str, scale: u64) -> LatencyRecord {
-        let mut h = Histogram::new();
-        for v in [100, 200, 400, 900, 5_000] {
-            h.record(v * scale);
-        }
-        LatencyRecord {
-            scenario: scenario.to_string(),
-            ops: 5_000,
-            rejected: 0,
-            audits: 3,
-            online_probes: 12,
-            online_probes_passed: 12,
-            elapsed: Duration::from_millis(20 * scale as u32 as u64),
-            audit_pause: Duration::from_millis(2),
-            resizes: scale,
-            resize_pause: Duration::from_micros(100 * scale),
-            latency: h.summary(),
-            queue_wait: h.summary(),
-            service: h.summary(),
-        }
+    /// A rendered `service_latency` document of `rows`.
+    fn render(rows: Vec<Json>) -> String {
+        summary("service_latency", "ns", rows).to_string()
     }
 
     #[test]
     fn roundtrip_parses_rendered_document() {
-        let doc_text = render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 1), sample_record("soak/b", 2)],
-        );
-        let doc = parse_latency_doc(&doc_text).unwrap();
+        let doc_text = render(vec![sample_row("soak/a", 1), sample_row("soak/b", 2)]);
+        let doc = parse_bench_doc(&doc_text).unwrap();
         assert_eq!(doc.bench, "service_latency");
         assert!(!doc.revision.is_empty());
         assert_eq!(doc.rows.len(), 2);
@@ -781,8 +528,8 @@ mod tests {
 
     #[test]
     fn self_delta_has_no_regressions() {
-        let text = render_latency("service_latency", &[sample_record("soak/a", 1)]);
-        let doc = parse_latency_doc(&text).unwrap();
+        let text = render(vec![sample_row("soak/a", 1)]);
+        let doc = parse_bench_doc(&text).unwrap();
         let report = delta(&doc, &doc, 0.25);
         assert!(!report.has_regressions());
         assert!(report.added.is_empty() && report.removed.is_empty());
@@ -793,16 +540,8 @@ mod tests {
 
     #[test]
     fn latency_increase_beyond_threshold_regresses() {
-        let base = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 1)],
-        ))
-        .unwrap();
-        let new = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 4)],
-        ))
-        .unwrap();
+        let base = parse_bench_doc(&render(vec![sample_row("soak/a", 1)])).unwrap();
+        let new = parse_bench_doc(&render(vec![sample_row("soak/a", 4)])).unwrap();
         let report = delta(&base, &new, 0.25);
         let regs = report.regressions();
         assert!(
@@ -822,19 +561,16 @@ mod tests {
 
     #[test]
     fn throughput_drop_regresses_and_rise_does_not() {
-        let mk = |ops_ns: u64| {
-            parse_latency_doc(&render_latency(
-                "service_latency",
-                &[{
-                    let mut r = sample_record("soak/a", 1);
-                    r.elapsed = Duration::from_nanos(ops_ns);
-                    r
-                }],
-            ))
-            .unwrap()
+        // 5000 ops in 10ms vs in 40ms.
+        let mk = |ops_per_sec: f64| {
+            let mut doc = parse_bench_doc(&render(vec![sample_row("soak/a", 1)])).unwrap();
+            doc.rows[0]
+                .metrics
+                .insert("ops_per_sec".to_string(), ops_per_sec);
+            doc
         };
-        let fast = mk(10_000_000);
-        let slow = mk(40_000_000);
+        let fast = mk(500_000.0);
+        let slow = mk(125_000.0);
         let report = delta(&fast, &slow, 0.25);
         assert!(report
             .regressions()
@@ -849,11 +585,7 @@ mod tests {
 
     #[test]
     fn within_noise_moves_do_not_flag() {
-        let base = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 10)],
-        ))
-        .unwrap();
+        let base = parse_bench_doc(&render(vec![sample_row("soak/a", 10)])).unwrap();
         let mut new = base.clone();
         for m in new.rows[0].metrics.values_mut() {
             *m *= 1.05; // 5% across the board, threshold 25%
@@ -863,16 +595,8 @@ mod tests {
 
     #[test]
     fn added_and_removed_scenarios_are_informational() {
-        let base = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/old", 1)],
-        ))
-        .unwrap();
-        let new = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/new", 1)],
-        ))
-        .unwrap();
+        let base = parse_bench_doc(&render(vec![sample_row("soak/old", 1)])).unwrap();
+        let new = parse_bench_doc(&render(vec![sample_row("soak/new", 1)])).unwrap();
         let report = delta(&base, &new, 0.25);
         assert_eq!(report.added, vec!["soak/new"]);
         assert_eq!(report.removed, vec!["soak/old"]);
@@ -884,16 +608,8 @@ mod tests {
 
     #[test]
     fn render_table_marks_regressions() {
-        let base = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 1)],
-        ))
-        .unwrap();
-        let new = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 4)],
-        ))
-        .unwrap();
+        let base = parse_bench_doc(&render(vec![sample_row("soak/a", 1)])).unwrap();
+        let new = parse_bench_doc(&render(vec![sample_row("soak/a", 4)])).unwrap();
         let table = render_table(&delta(&base, &new, 0.25));
         assert!(table.contains("REGRESSED"), "{table}");
         assert!(table.contains("soak/a"), "{table}");
@@ -903,15 +619,15 @@ mod tests {
 
     #[test]
     fn per_scenario_thresholds_gate_independently() {
-        let base = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 1), sample_record("soak/b", 1)],
-        ))
+        let base = parse_bench_doc(&render(vec![
+            sample_row("soak/a", 1),
+            sample_row("soak/b", 1),
+        ]))
         .unwrap();
-        let new = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 2), sample_record("soak/b", 2)],
-        ))
+        let new = parse_bench_doc(&render(vec![
+            sample_row("soak/a", 2),
+            sample_row("soak/b", 2),
+        ]))
         .unwrap();
         // 2x latency: flags at the 25% default, absorbed by a 3x override.
         let mut thresholds = Thresholds::uniform(0.25);
@@ -930,15 +646,15 @@ mod tests {
 
     #[test]
     fn warn_only_scenarios_report_but_do_not_gate() {
-        let base = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 1), sample_record("soak/b", 1)],
-        ))
+        let base = parse_bench_doc(&render(vec![
+            sample_row("soak/a", 1),
+            sample_row("soak/b", 1),
+        ]))
         .unwrap();
-        let new = parse_latency_doc(&render_latency(
-            "service_latency",
-            &[sample_record("soak/a", 1), sample_record("soak/b", 4)],
-        ))
+        let new = parse_bench_doc(&render(vec![
+            sample_row("soak/a", 1),
+            sample_row("soak/b", 4),
+        ]))
         .unwrap();
         let mut thresholds = Thresholds::uniform(0.25);
         thresholds.warn_only.push("soak/b".to_string());
@@ -975,16 +691,16 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_documents() {
-        assert!(parse_latency_doc("").is_err());
-        assert!(parse_latency_doc("{\"bench\": \"x\"}").is_err());
-        assert!(parse_latency_doc("{\"bench\": 3, \"revision\": \"r\", \"results\": []}").is_err());
-        assert!(parse_latency_doc("[1, 2").is_err());
-        assert!(parse_latency_doc("{} trailing").is_err());
+        assert!(parse_bench_doc("").is_err());
+        assert!(parse_bench_doc("{\"bench\": \"x\"}").is_err());
+        assert!(parse_bench_doc("{\"bench\": 3, \"revision\": \"r\", \"results\": []}").is_err());
+        assert!(parse_bench_doc("[1, 2").is_err());
+        assert!(parse_bench_doc("{} trailing").is_err());
     }
 
     #[test]
     fn parser_handles_escapes_and_nesting() {
-        let doc = parse_latency_doc(
+        let doc = parse_bench_doc(
             "{\"bench\": \"a\\\"b\", \"revision\": \"r\\u0041\", \
              \"results\": [{\"scenario\": \"s\", \"x\": 1.5e3, \"nested\": {\"y\": [1, null, true]}}]}",
         )

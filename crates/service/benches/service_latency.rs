@@ -20,10 +20,48 @@
 
 use std::time::Duration;
 
-use hi_bench::json::{write_latency_summary, LatencyRecord};
-use hi_service::{soak_registry, SoakConfig, SoakProfile};
+use hi_bench::json::{write_summary, Json};
+use hi_service::{soak_registry, SoakConfig, SoakProfile, SoakReport};
 
 const SEED: u64 = 0xbe7c;
+
+/// One result row: the end-to-end quantiles plus the `queue_wait_*` /
+/// `service_*` span attribution and the online-audit counts — the fields
+/// `hi_bench::delta` diffs across revisions. Latencies are nanoseconds.
+fn row(scenario: &str, report: &SoakReport) -> Json {
+    let l = report.latency.summary();
+    let (q, s) = (report.queue_wait.summary(), report.service.summary());
+    let m = &report.metrics;
+    Json::obj([
+        ("scenario", scenario.into()),
+        ("ops", report.ops_applied.into()),
+        ("rejected", report.ops_rejected.into()),
+        ("audits", report.audits.len().into()),
+        ("online_probes", m.probes().into()),
+        ("online_probes_passed", m.probes_passed().into()),
+        ("elapsed_ns", report.elapsed.as_nanos().into()),
+        ("audit_pause_ns", m.audit_pause_total().as_nanos().into()),
+        ("resizes", m.resizes().into()),
+        ("resize_pause_ns", m.resize_pause_total().as_nanos().into()),
+        ("ops_per_sec", Json::fixed(report.ops_per_sec(), 1)),
+        (
+            "ops_per_sec_load",
+            Json::fixed(report.ops_per_sec_load(), 1),
+        ),
+        ("mean_ns", Json::fixed(l.mean, 1)),
+        ("p50_ns", l.p50.into()),
+        ("p90_ns", l.p90.into()),
+        ("p99_ns", l.p99.into()),
+        ("p999_ns", l.p999.into()),
+        ("max_ns", l.max.into()),
+        ("queue_wait_p50_ns", q.p50.into()),
+        ("queue_wait_p99_ns", q.p99.into()),
+        ("queue_wait_p999_ns", q.p999.into()),
+        ("service_p50_ns", s.p50.into()),
+        ("service_p99_ns", s.p99.into()),
+        ("service_p999_ns", s.p999.into()),
+    ])
+}
 
 fn main() {
     let total_ops: usize = std::env::var("HI_SOAK_OPS")
@@ -42,7 +80,7 @@ fn main() {
     // deadline with it), so both knobs compose.
     let cfg = SoakProfile::from_env().apply(&cfg);
 
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     println!(
         "{:34} {:>9} {:>11} {:>11} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7} {:>8}",
         "scenario",
@@ -84,23 +122,9 @@ fn main() {
             probes,
             resizes,
         );
-        records.push(LatencyRecord {
-            scenario: scenario.name.to_string(),
-            ops: report.ops_applied,
-            rejected: report.ops_rejected,
-            audits: report.audits.len(),
-            online_probes: probes,
-            online_probes_passed: report.metrics.probes_passed(),
-            elapsed: report.elapsed,
-            audit_pause: report.metrics.audit_pause_total(),
-            resizes,
-            resize_pause: report.metrics.resize_pause_total(),
-            latency: summary,
-            queue_wait,
-            service,
-        });
+        rows.push(row(scenario.name, &report));
     }
-    match write_latency_summary("service_latency", &records) {
+    match write_summary("service_latency", "ns", rows) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\ncould not write JSON summary: {e}"),
     }

@@ -95,39 +95,6 @@ impl ExhaustiveReport {
         }
         self.stats.certified_paths as f64 / self.stats.paths as f64
     }
-
-    /// Renders the report as one JSON object (hand-rolled: the workspace
-    /// vendors no serde), tagged with the scenario name and parameters.
-    pub fn to_json(&self, scenario: &str, params: &str) -> String {
-        let s = &self.stats;
-        format!(
-            concat!(
-                "{{\"scenario\":\"{}\",\"params\":\"{}\",\"ops\":{},",
-                "\"paths\":{},\"certified_paths\":{},\"truncated\":{},",
-                "\"transitions\":{},\"distinct_configs\":{},\"dedup_hits\":{},",
-                "\"sleep_skips\":{},\"cycles\":{},\"crash_branches\":{},",
-                "\"hi_points\":{},\"audited\":{},\"distinct_states\":{},",
-                "\"linearized\":{},\"reduction_ratio\":{:.2}}}"
-            ),
-            scenario.escape_default(),
-            params.escape_default(),
-            self.ops,
-            s.paths,
-            s.certified_paths,
-            s.truncated,
-            s.transitions,
-            s.distinct_configs,
-            s.dedup_hits,
-            s.sleep_skips,
-            s.cycles,
-            s.crash_branches,
-            self.hi_points,
-            self.audited,
-            self.distinct_states,
-            self.linearized,
-            self.reduction_ratio(),
-        )
-    }
 }
 
 /// The audit half of the exploration visitor.

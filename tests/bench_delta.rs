@@ -2,20 +2,22 @@
 //! `BENCH_service_latency.json` baseline must parse, carry the span
 //! attribution and online-audit fields the observability layer emits, and
 //! self-compare clean through `hi_bench::delta` — the exact pipeline the
-//! CI `bench-delta` job runs against a fresh measurement.
+//! CI `bench-delta` job runs against a fresh measurement. The committed
+//! `BENCH_api_throughput.json` shares the schema and goes through the same
+//! self-compare.
 
-use hi_concurrent::bench::delta::{delta, parse_latency_doc, render_table, GATED_METRICS};
+use hi_concurrent::bench::delta::{delta, parse_bench_doc, render_table, GATED_METRICS};
 use hi_concurrent::bench::json::workspace_root;
 
-fn committed_baseline() -> String {
-    let path = workspace_root().join("BENCH_service_latency.json");
+fn committed(bench: &str) -> String {
+    let path = workspace_root().join(format!("BENCH_{bench}.json"));
     std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing committed baseline {}: {e}", path.display()))
 }
 
 #[test]
 fn committed_baseline_parses_with_observability_fields() {
-    let doc = parse_latency_doc(&committed_baseline()).expect("committed baseline parses");
+    let doc = parse_bench_doc(&committed("service_latency")).expect("committed baseline parses");
     assert_eq!(doc.bench, "service_latency");
     assert!(!doc.revision.is_empty());
     assert!(doc.rows.len() >= 8, "one row per soak scenario");
@@ -77,24 +79,37 @@ fn committed_baseline_parses_with_observability_fields() {
 
 #[test]
 fn baseline_self_delta_is_clean() {
-    let doc = parse_latency_doc(&committed_baseline()).expect("parses");
-    let report = delta(&doc, &doc, 0.0);
-    assert!(
-        !report.has_regressions(),
-        "self-comparison regressed: {:?}",
-        report.regressions()
-    );
-    assert!(report.added.is_empty() && report.removed.is_empty());
-    let table = render_table(&report);
-    assert!(table.contains("no regressions"), "{table}");
-    for row in &doc.rows {
-        assert!(table.contains(&row.scenario), "{table}");
+    for bench in ["service_latency", "api_throughput"] {
+        let doc = parse_bench_doc(&committed(bench)).expect("parses");
+        assert_eq!(doc.bench, bench);
+        let report = delta(&doc, &doc, 0.0);
+        assert!(
+            !report.has_regressions(),
+            "{bench}: self-comparison regressed: {:?}",
+            report.regressions()
+        );
+        assert!(report.added.is_empty() && report.removed.is_empty());
+        // Every row compares its throughput, so the self-compare cannot
+        // pass by comparing nothing.
+        assert_eq!(report.scenarios.len(), doc.rows.len(), "{bench}");
+        assert!(
+            report
+                .scenarios
+                .iter()
+                .all(|s| s.metrics.iter().any(|m| m.metric == "ops_per_sec")),
+            "{bench}: a row lacks ops_per_sec"
+        );
+        let table = render_table(&report);
+        assert!(table.contains("no regressions"), "{table}");
+        for row in &doc.rows {
+            assert!(table.contains(&row.scenario), "{table}");
+        }
     }
 }
 
 #[test]
 fn synthetic_slowdown_trips_the_gate() {
-    let base = parse_latency_doc(&committed_baseline()).expect("parses");
+    let base = parse_bench_doc(&committed("service_latency")).expect("parses");
     let mut slow = base.clone();
     for row in &mut slow.rows {
         for (name, v) in row.metrics.iter_mut() {

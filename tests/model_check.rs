@@ -15,6 +15,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use hi_concurrent::api::{registry, repro_command, ExhaustiveConfig, ExhaustiveReport};
+use hi_concurrent::bench::json::Json;
+use hi_concurrent::spec::ExploreStats;
 
 /// Base seed of the lane. The explorer quantifies over *schedules*, so the
 /// seed only picks the workload's operation values; one seed per CI run is
@@ -37,6 +39,31 @@ fn artifact_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/modelcheck");
     fs::create_dir_all(&dir).expect("create target/modelcheck");
     dir
+}
+
+/// One certification as the JSON object CI uploads, tagged with the
+/// scenario name and its downsized parameters.
+fn report_json(scenario: &str, params: &str, report: &ExhaustiveReport) -> Json {
+    let s = &report.stats;
+    Json::obj([
+        ("scenario", scenario.into()),
+        ("params", params.into()),
+        ("ops", report.ops.into()),
+        ("paths", s.paths.into()),
+        ("certified_paths", s.certified_paths.into()),
+        ("truncated", s.truncated.into()),
+        ("transitions", s.transitions.into()),
+        ("distinct_configs", s.distinct_configs.into()),
+        ("dedup_hits", s.dedup_hits.into()),
+        ("sleep_skips", s.sleep_skips.into()),
+        ("cycles", s.cycles.into()),
+        ("crash_branches", s.crash_branches.into()),
+        ("hi_points", report.hi_points.into()),
+        ("audited", report.audited.into()),
+        ("distinct_states", report.distinct_states.into()),
+        ("linearized", report.linearized.into()),
+        ("reduction_ratio", Json::fixed(report.reduction_ratio(), 2)),
+    ])
 }
 
 fn certify(seed: u64) -> Vec<(&'static str, ExhaustiveReport)> {
@@ -63,8 +90,8 @@ fn certify(seed: u64) -> Vec<(&'static str, ExhaustiveReport)> {
 fn registry_certifies_exhaustively() {
     let seed = seed();
     let dir = artifact_dir();
-    let mut summary = String::from("[\n");
-    for (i, (name, report)) in certify(seed).into_iter().enumerate() {
+    let mut summary = Vec::new();
+    for (name, report) in certify(seed) {
         let s = &report.stats;
         assert!(s.paths > 0, "{name}: no maximal path executed");
         assert_eq!(
@@ -93,17 +120,65 @@ fn registry_certifies_exhaustively() {
             .into_iter()
             .find(|s| s.name == name)
             .expect("scenario exists");
-        let json = report.to_json(name, scenario.small_params());
+        let json = report_json(name, scenario.small_params(), &report);
         let file = dir.join(format!("{}.json", name.replace('/', "_")));
-        fs::write(&file, &json).unwrap_or_else(|e| panic!("write {}: {e}", file.display()));
-        if i > 0 {
-            summary.push_str(",\n");
-        }
-        summary.push_str("  ");
-        summary.push_str(&json);
+        fs::write(&file, json.to_string())
+            .unwrap_or_else(|e| panic!("write {}: {e}", file.display()));
+        summary.push(json);
     }
-    summary.push_str("\n]\n");
-    fs::write(dir.join("summary.json"), summary).expect("write summary.json");
+    fs::write(
+        dir.join("summary.json"),
+        format!("{}\n", Json::Arr(summary)),
+    )
+    .expect("write summary.json");
+}
+
+/// The report documents' fields, order and values are pinned: a fixed
+/// pair of reports renders to the committed golden summary.
+#[test]
+fn report_json_matches_golden() {
+    let certified = ExhaustiveReport {
+        ops: 4,
+        stats: ExploreStats {
+            paths: 12,
+            truncated: 0,
+            transitions: 345,
+            certified_paths: 31,
+            certified_truncated: 0,
+            distinct_configs: 100,
+            dedup_hits: 7,
+            cycles: 1,
+            sleep_skips: 9,
+            crash_branches: 0,
+            aborted: false,
+        },
+        hi_points: 50,
+        audited: true,
+        distinct_states: 6,
+        linearized: 10,
+    };
+    let empty = ExhaustiveReport {
+        ops: 2,
+        stats: ExploreStats::default(),
+        hi_points: 0,
+        audited: false,
+        distinct_states: 0,
+        linearized: 0,
+    };
+    let summary = Json::Arr(vec![
+        report_json(
+            "register/lockfree-hi-k5",
+            "MultiRegisterSpec { k: 3, initial: 1 }",
+            &certified,
+        ),
+        report_json(
+            "queue/positional-t3",
+            "BoundedQueueSpec { t: 2, k: 2 }",
+            &empty,
+        ),
+    ]);
+    let golden = Json::parse(include_str!("golden/modelcheck_summary.json")).unwrap();
+    assert_eq!(Json::parse(&summary.to_string()), Ok(golden));
 }
 
 /// The reduction must actually reduce: across the registry, the certified

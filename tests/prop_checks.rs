@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over random parameters, operation
 //! sequences, and schedules.
 
+use hi_concurrent::bench::json::Json;
 use hi_concurrent::llsc::{LlscLayout, RLlscOp, RLlscSpec, SimRLlsc};
 use hi_concurrent::queue::PositionalQueue;
 use hi_concurrent::registers::{LockFreeHiRegister, WaitFreeHiRegister};
@@ -10,8 +11,42 @@ use hi_concurrent::universal::{Codec, SimUniversal};
 use hi_core::objects::{
     BoundedQueueSpec, CounterOp, CounterResp, CounterSpec, MultiRegisterSpec, QueueOp, RegisterOp,
 };
-use hi_core::{History, ObjectSpec};
+use hi_core::{History, ObjectSpec, SplitMix64};
 use proptest::prelude::*;
+
+/// A random JSON value: strings mixing quotes, backslashes, control
+/// characters and non-ASCII; integral, fractional and arbitrary finite
+/// numbers; arrays and objects nested up to `depth` levels.
+fn arbitrary_json(rng: &mut SplitMix64, depth: u32) -> Json {
+    const CHARS: [char; 10] = ['a', 'Z', '"', '\\', '\n', '\u{1}', '\u{1f}', 'é', '∀', '😀'];
+    let string = |rng: &mut SplitMix64| -> String {
+        (0..rng.below(6))
+            .map(|_| CHARS[rng.below(CHARS.len())])
+            .collect()
+    };
+    match rng.below(if depth == 0 { 6 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 1),
+        2 => Json::Str(string(rng)),
+        3 => Json::Num((rng.next_u64() >> 11) as f64 - (1u64 << 52) as f64),
+        4 => Json::Num((rng.unit() - 0.5) * 10f64.powi(rng.below(24) as i32 - 8)),
+        5 => Json::Num(
+            Some(f64::from_bits(rng.next_u64()))
+                .filter(|x| x.is_finite())
+                .unwrap_or(0.5),
+        ),
+        6 => Json::Arr(
+            (0..rng.below(4))
+                .map(|_| arbitrary_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.below(4))
+                .map(|_| (string(rng), arbitrary_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -146,6 +181,15 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
         linearize(exec.spec(), exec.history(), &LinOptions::default())
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+    }
+
+    /// The one JSON layer round-trips: parsing a rendered value gives the
+    /// value back.
+    #[test]
+    fn json_parse_inverts_render(seed: u64) {
+        let value = arbitrary_json(&mut SplitMix64::new(seed), 3);
+        let text = value.to_string();
+        prop_assert_eq!(Json::parse(&text), Ok(value));
     }
 
     /// The universal construction over a counter linearizes and ends

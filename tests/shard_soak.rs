@@ -20,8 +20,12 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use hi_concurrent::api::SampledAudit;
-use hi_concurrent::service::{soak_scenario, SoakConfig, SoakProfile, SoakReport};
+use hi_concurrent::api::{MetricsSnapshot, SampledAudit};
+use hi_concurrent::bench::hist::Histogram;
+use hi_concurrent::bench::json::Json;
+use hi_concurrent::service::{
+    soak_scenario, EpochMetrics, OnlineAudit, ServiceMetrics, SoakConfig, SoakProfile, SoakReport,
+};
 
 /// The sharded soak entries and the shard count their backends declare.
 const SHARDED: [(&str, usize); 2] = [("soak/sharded-zipf-1m", 8), ("soak/sharded-uniform", 4)];
@@ -47,37 +51,78 @@ fn artifact_dir() -> PathBuf {
     dir
 }
 
-/// Renders the sampled-audit ledger of one soak as the JSON artifact CI
-/// uploads: one row per drain barrier, plus the maintenance totals.
-fn render_ledger(name: &str, seed: u64, report: &SoakReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scenario\": \"{name}\",\n"));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"ops\": {},\n", report.ops_applied));
-    out.push_str(&format!("  \"resizes\": {},\n", report.metrics.resizes()));
-    out.push_str(&format!(
-        "  \"resize_pause_ns\": {},\n",
-        report.metrics.resize_pause_total().as_nanos()
-    ));
-    out.push_str("  \"barriers\": [\n");
-    for (i, audit) in report.sampled_audits.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"epoch\": {i}, \"shards_total\": {}, \"shards_exhaustive\": {}, \
-             \"cells_spot_checked\": {}, \"passed\": {}}}{}\n",
-            audit.shards_total,
-            audit.shards_exhaustive,
-            audit.cells_spot_checked,
-            audit.passed(),
-            if i + 1 < report.sampled_audits.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+/// The sampled-audit ledger of one soak, as the JSON artifact CI uploads:
+/// one row per drain barrier, plus the maintenance totals.
+fn ledger(name: &str, seed: u64, report: &SoakReport) -> Json {
+    let barriers = report.sampled_audits.iter().enumerate().map(|(i, audit)| {
+        Json::obj([
+            ("epoch", i.into()),
+            ("shards_total", audit.shards_total.into()),
+            ("shards_exhaustive", audit.shards_exhaustive.into()),
+            ("cells_spot_checked", audit.cells_spot_checked.into()),
+            ("passed", audit.passed().into()),
+        ])
+    });
+    Json::obj([
+        ("scenario", name.into()),
+        ("seed", seed.into()),
+        ("ops", report.ops_applied.into()),
+        ("resizes", report.metrics.resizes().into()),
+        (
+            "resize_pause_ns",
+            report.metrics.resize_pause_total().as_nanos().into(),
+        ),
+        ("barriers", Json::Arr(barriers.collect())),
+    ])
+}
+
+/// A hand-built report of a 2-epoch, 20k-op soak over 4 shards: 2s of wall
+/// time, 100ms of audit pause per epoch, 7 resizes, and three sampled
+/// audits of which the last failed.
+fn fixed_report() -> SoakReport {
+    let epoch = |epoch, resizes, resize_pause| EpochMetrics {
+        epoch,
+        ops_applied: 10_000,
+        load: Duration::from_millis(900),
+        audit_pause: Duration::from_millis(100),
+        probes: 0,
+        probes_passed: 0,
+        resizes,
+        resize_pause,
+    };
+    let audit = |shards_exhaustive, cells_spot_checked, failure: Option<&str>| SampledAudit {
+        shards_total: 4,
+        shards_exhaustive,
+        cells_spot_checked,
+        failure: failure.map(str::to_string),
+    };
+    SoakReport {
+        ops_submitted: 20_000,
+        ops_applied: 20_000,
+        ops_rejected: 0,
+        sends_blocked: 0,
+        audits: Vec::new(),
+        elapsed: Duration::from_secs(2),
+        latency: Histogram::new(),
+        queue_wait: Histogram::new(),
+        service: Histogram::new(),
+        workers: Vec::new(),
+        sampled_audits: vec![
+            audit(1, 37, None),
+            audit(2, 20, None),
+            audit(1, 5, Some("cell 3 not canonical")),
+        ],
+        metrics: ServiceMetrics {
+            progress: MetricsSnapshot {
+                handles: Vec::new(),
+            },
+            epochs: vec![
+                epoch(0, 5, Duration::from_micros(1_200)),
+                epoch(1, 2, Duration::from_nanos(345_678)),
+            ],
+            online: OnlineAudit::Disabled,
+        },
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn run(name: &str, cfg: &SoakConfig) -> SoakReport {
@@ -139,9 +184,30 @@ fn sharded_soaks_resize_online_and_pass_sampled_audits() {
         }
 
         let path = dir.join(format!("{}-sampled.json", name.replace('/', "_")));
-        fs::write(&path, render_ledger(name, cfg.seed, &report))
+        fs::write(&path, format!("{}\n", ledger(name, cfg.seed, &report)))
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     }
+}
+
+/// The ledger's fields, order and values are pinned: the fixed report
+/// renders to the committed golden ledger.
+#[test]
+fn ledger_matches_golden() {
+    let doc = ledger("soak/sharded-uniform", 11, &fixed_report());
+    let golden = Json::parse(include_str!("golden/soak_ledger.json")).unwrap();
+    assert_eq!(Json::parse(&doc.to_string()), Ok(golden));
+}
+
+#[test]
+fn ops_per_sec_load_excludes_audit_pause() {
+    let mut report = fixed_report();
+    report.ops_applied = 1000;
+    for epoch in &mut report.metrics.epochs {
+        epoch.audit_pause = Duration::from_millis(500);
+    }
+    assert!((report.ops_per_sec() - 500.0).abs() < 1e-6);
+    assert!((report.ops_per_sec_load() - 1000.0).abs() < 1e-6);
+    assert!(report.ops_per_sec_load() >= report.ops_per_sec());
 }
 
 #[test]
