@@ -114,7 +114,13 @@ impl ProgressCounters {
 
     /// Records one completed operation on `handle`.
     pub fn bump(&self, handle: usize) {
-        self.applied[handle].fetch_add(1, Ordering::Relaxed);
+        self.bump_by(handle, 1);
+    }
+
+    /// Records `n` completed operations on `handle` in one update, for a
+    /// worker that applies a batch between bumps.
+    pub fn bump_by(&self, handle: usize, n: usize) {
+        self.applied[handle].fetch_add(n, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every counter.
@@ -608,9 +614,8 @@ mod tests {
             "handle 1 planned nothing, so it is never stalled"
         );
         assert!(!snap.is_drained());
-        for _ in 0..8 {
-            counters.bump(0);
-        }
+        // A batch lands in one update, exactly as that many single bumps.
+        counters.bump_by(0, 8);
         for _ in 0..4 {
             counters.bump(2);
         }

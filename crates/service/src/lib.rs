@@ -3,8 +3,9 @@
 //! A heavy-traffic service harness over every
 //! [`ConcurrentObject`](hi_api::ConcurrentObject): N logical clients
 //! multiplexed over one worker thread per role, with bounded `mpsc`
-//! ingress queues, hash-sharded dispatch, explicit backpressure, periodic
-//! drain-barrier HI audits, and tail-latency observability.
+//! ingress queues fed in batches while a worker is busy, hash-sharded
+//! dispatch, explicit backpressure, periodic drain-barrier HI audits, and
+//! tail-latency observability.
 //!
 //! The conformance driver ([`hi_api::drive`]) answers *"is the object
 //! correct under adversarial interleavings?"*; this crate answers the
@@ -23,11 +24,15 @@
 //!   shapes (uniform / Zipfian / bursty), iterated by the soak suites, the
 //!   `service_latency` bench and the CI `service-soak` job.
 //!
-//! Every applied operation is traced through three spans — ingress →
+//! Every applied operation is traced through three spans — submission →
 //! dequeue (`queue_wait`), dequeue → completion (`service`), and the
 //! end-to-end interval — into the log-scale histograms of
 //! [`hi_bench::hist`], merged and per worker, so a fat tail is
-//! attributable to the queue or the backend. [`SoakReport`] also carries
+//! attributable to the queue or the backend. An op is stamped when its
+//! client draws it and dequeued when its worker starts it, so
+//! `queue_wait` covers the time it waits in its client thread's pending
+//! batch as well as in the channel, even when it crossed the channel in
+//! a batch of up to 32. [`SoakReport`] also carries
 //! a [`ServiceMetrics`] block (per-epoch load vs audit-pause time, the
 //! watchdog's progress snapshot, and the online-audit verdict): backends
 //! declaring [`HiLevel::Perfect`](hi_api::HiLevel) are additionally

@@ -7,20 +7,37 @@
 //! # Architecture
 //!
 //! ```text
-//!   logical clients (N)        ingress (bounded mpsc)      workers (M = one per handle)
-//!   ┌──────────────┐  rank ┌──────────────────────┐  recv  ┌──────────────────┐
-//!   │ rng + KeyDist │──────▶ sync_channel(depth) ──────────▶ handle.apply(op) │
-//!   │ + ArrivalGen  │ shard └──────────────────────┘        │ latency histo    │
-//!   └──────────────┘                ...                     └──────────────────┘
-//!        (client threads round-robin their clients; an op for a given
-//!         rank always lands on the same worker — the one whose role menu
-//!         owns it, hash-picked among the eligible)
+//!   client threads                  ingress (bounded mpsc)          workers (M = one per handle)
+//!   ┌──────────────────────┐  1..B ┌───────────────────────────┐ recv ┌───────────────────────┐
+//!   │ clients: rng+KeyDist │  ops  │ sync_channel(depth / B)   │      │ per op of a hand-off: │
+//!   │  + ArrivalGen        │──────▶│ of hand-offs, ≤ depth ops │─────▶│ stamp, handle.apply,  │
+//!   │ one pending batch    │ shard └───────────────────────────┘      │ latency histo         │
+//!   │  per worker          │                  ...                     └───────────────────────┘
+//!   └──────────────────────┘
+//!        (each client thread round-robins its logical clients; an op for
+//!         a given rank always lands on the same worker — the one whose
+//!         role menu owns it, hash-picked among the eligible)
 //!
 //!   every epoch: clients exhaust their budget → senders drop → workers
 //!   drain and exit → the thread scope ends → *all handles are dropped* →
 //!   drain barrier: mem_snapshot() vs canonical(abstract_state()), then
 //!   handles are re-split and the next epoch begins.
 //! ```
+//!
+//! A client thread collects each worker's ops in a pending batch and
+//! hands the batch off whole: one channel hop, one queue-depth gauge
+//! update and one progress bump per hand-off, not per op. The batch size
+//! is `B = clamp(queue_depth / 8, 1, 32)` and the channel has
+//! `queue_depth / B` slots, so a queue never holds more than
+//! `queue_depth` ops and any depth below 16 hands off one op at a time.
+//! A pending batch goes out when it reaches `B`, when its worker's queue
+//! is empty at a push (so an op for an idle worker is not held back), or
+//! when the thread is about to wait: an arrival gap, the end of its
+//! budget, or a blocking send — before which it first tries, without
+//! blocking, to hand off every other worker's pending batch. Each op carries the `Instant`
+//! taken when its client drew it, and the worker stamps `dequeued` per op
+//! right before `apply`, so time spent in a pending batch counts as queue
+//! wait and `queue_wait + service` is still each op's latency.
 //!
 //! The drain barrier leans on the facade's contract: handles borrow the
 //! object, and [`ConcurrentObject::handles`] takes `&mut self`, so the
@@ -62,8 +79,9 @@ pub enum Backpressure {
     /// Wait for space: closed-loop load, every submitted operation is
     /// eventually applied, the queue wait shows up as latency.
     Block,
-    /// Drop the operation and record the rejection: open-loop load
-    /// shedding, the reject count shows up in the report.
+    /// Drop the hand-off and record its ops as rejected: open-loop load
+    /// shedding, the reject count shows up in the report. A hand-off is
+    /// one op whenever the queue depth is below 16.
     Reject,
 }
 
@@ -77,7 +95,8 @@ pub struct SoakConfig {
     /// Total operations submitted across the whole soak (split evenly
     /// over epochs, then over clients).
     pub total_ops: usize,
-    /// Ingress queue bound per worker.
+    /// Ingress queue bound per worker, in operations. It also fixes the
+    /// hand-off batch size `B = clamp(queue_depth / 8, 1, 32)`.
     pub queue_depth: usize,
     /// Full-queue policy.
     pub backpressure: Backpressure,
@@ -185,7 +204,14 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Operations this worker applied.
     pub applied: usize,
-    /// The deepest its ingress queue ever got (sampled at dequeue).
+    /// Ingress hand-offs it dequeued: equal to `applied` when the queue
+    /// depth is below 16 (one-op hand-offs), fewer when client threads
+    /// batched ops while it was busy.
+    pub handoffs: usize,
+    /// The deepest its ingress queue ever got, in operations, sampled at
+    /// dequeue. It counts every op handed off and not yet dequeued, a
+    /// hand-off still waiting on a full queue included, so it can exceed
+    /// the configured depth by what the client threads hold in flight.
     pub max_queue_depth: usize,
     /// End-to-end latency of this worker's operations, nanoseconds.
     pub latency: Histogram,
@@ -205,10 +231,12 @@ pub struct SoakReport {
     /// Operations applied by workers (== submitted unless a run is cut
     /// short).
     pub ops_applied: usize,
-    /// Operations dropped by [`Backpressure::Reject`].
+    /// Operations dropped by [`Backpressure::Reject`]. A rejection drops a
+    /// whole hand-off, which is one op whenever the queue depth is below
+    /// 16.
     pub ops_rejected: usize,
-    /// Submissions that found a full queue under [`Backpressure::Block`]
-    /// (the op still went through after the wait).
+    /// Operations in hand-offs that found a full queue under
+    /// [`Backpressure::Block`] (they still went through after the wait).
     pub sends_blocked: usize,
     /// Every drain barrier, in order; the last entry is the final audit.
     pub audits: Vec<AuditRecord>,
@@ -355,11 +383,145 @@ impl fmt::Display for SoakError {
 
 impl Error for SoakError {}
 
-/// An operation in flight from a client to its worker, stamped at
-/// submission so the recorded latency covers queue wait plus service.
+/// An operation in flight from a client to its worker, stamped when its
+/// client drew it, so the recorded latency covers the time in the
+/// client's pending batch and the queue wait plus service.
 struct Envelope<Op> {
     op: Op,
     submitted: Instant,
+}
+
+/// Most operations one ingress hand-off carries.
+const MAX_BATCH: usize = 32;
+
+/// The hand-off size `B` for an ingress bound: `queue_depth / 8` clamped
+/// to `1..=MAX_BATCH`, so a depth below 16 keeps one-op hand-offs. The
+/// channel gets `queue_depth / B` slots and so never holds more than
+/// `queue_depth` operations.
+fn batch_size(queue_depth: usize) -> usize {
+    (queue_depth / 8).clamp(1, MAX_BATCH)
+}
+
+/// What crosses an ingress channel. A single operation travels unboxed,
+/// so the one-op hand-offs of a shallow or idle queue allocate nothing.
+enum Handoff<Op> {
+    One(Envelope<Op>),
+    Batch(Vec<Envelope<Op>>),
+}
+
+impl<Op> Handoff<Op> {
+    fn len(&self) -> usize {
+        match self {
+            Handoff::One(_) => 1,
+            Handoff::Batch(ops) => ops.len(),
+        }
+    }
+
+    fn for_each(self, mut f: impl FnMut(Envelope<Op>)) {
+        match self {
+            Handoff::One(env) => f(env),
+            Handoff::Batch(ops) => ops.into_iter().for_each(f),
+        }
+    }
+}
+
+/// One client thread's side of the ingress: a sender and a pending batch
+/// per worker, and the thread's submission accounting.
+struct Ingress<'a, Op> {
+    txs: Vec<SyncSender<Handoff<Op>>>,
+    pending: Vec<Vec<Envelope<Op>>>,
+    depth: &'a [AtomicUsize],
+    abort: &'a AtomicBool,
+    batch: usize,
+    backpressure: Backpressure,
+    submitted: usize,
+    rejected: usize,
+    blocked: usize,
+}
+
+impl<Op> Ingress<'_, Op> {
+    /// Adds an op to worker `w`'s pending batch and hands the batch off
+    /// once it is full or `w`'s queue is empty.
+    fn push(&mut self, w: usize, env: Envelope<Op>) {
+        let pending = &mut self.pending[w];
+        if pending.capacity() == 0 {
+            pending.reserve_exact(self.batch);
+        }
+        pending.push(env);
+        if pending.len() >= self.batch || self.depth[w].load(GAUGE_ORD) == 0 {
+            self.hand_off(w, true);
+        }
+    }
+
+    /// Hands off every pending batch: the thread is about to wait.
+    fn flush(&mut self) {
+        for w in 0..self.pending.len() {
+            self.hand_off(w, true);
+        }
+    }
+
+    /// Hands worker `w`'s pending batch, if any, to [`Ingress::send`].
+    fn hand_off(&mut self, w: usize, wait: bool) {
+        let pending = &mut self.pending[w];
+        let handoff = match pending.len() {
+            0 => return,
+            1 => Handoff::One(pending.pop().expect("one pending op")),
+            _ => Handoff::Batch(std::mem::take(pending)),
+        };
+        self.send(w, handoff, wait);
+    }
+
+    /// Sends a hand-off to worker `w`. When `w`'s queue is full,
+    /// [`Backpressure::Reject`] drops it whole. Under `Block` a hand-off
+    /// that may `wait` does so, after trying every other worker's pending
+    /// batch without waiting; one that may not goes back to pending.
+    fn send(&mut self, w: usize, handoff: Handoff<Op>, wait: bool) {
+        let n = handoff.len();
+        // Gauge bumped before the send so the worker's decrement can never
+        // underflow.
+        self.depth[w].fetch_add(n, GAUGE_ORD);
+        let full = match self.txs[w].try_send(handoff) {
+            Ok(()) => {
+                self.submitted += n;
+                return;
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                self.lost(w, n);
+                return;
+            }
+            Err(TrySendError::Full(handoff)) => handoff,
+        };
+        match (self.backpressure, wait) {
+            (Backpressure::Reject, _) => {
+                self.depth[w].fetch_sub(n, GAUGE_ORD);
+                self.rejected += n;
+            }
+            (Backpressure::Block, false) => {
+                self.depth[w].fetch_sub(n, GAUGE_ORD);
+                match full {
+                    Handoff::One(env) => self.pending[w].push(env),
+                    Handoff::Batch(ops) => self.pending[w] = ops,
+                }
+            }
+            (Backpressure::Block, true) => {
+                self.blocked += n;
+                for v in (0..self.txs.len()).filter(|&v| v != w) {
+                    self.hand_off(v, false);
+                }
+                match self.txs[w].send(full) {
+                    Ok(()) => self.submitted += n,
+                    Err(_) => self.lost(w, n),
+                }
+            }
+        }
+    }
+
+    /// The worker died (panicked): stop, and let the join surface its
+    /// payload.
+    fn lost(&mut self, w: usize, n: usize) {
+        self.depth[w].fetch_sub(n, GAUGE_ORD);
+        self.abort.store(true, GAUGE_ORD);
+    }
 }
 
 /// The precomputed dispatch table: entry `r` is the operation of rank `r`
@@ -404,36 +566,57 @@ fn dispatch_table<S: EnumerableSpec>(
         .collect()
 }
 
-/// Dry-runs every client's sampling (no object, no threads) to compute how
-/// many operations the soak will route to each worker — the `planned`
-/// side of the watchdog's [`ProgressCounters`]. Exact under
-/// [`Backpressure::Block`]; an upper bound under `Reject`.
-fn planned_per_worker<S: EnumerableSpec>(
-    table: &[(S::Op, usize)],
-    sampler: &KeySampler,
-    workers: usize,
-    cfg: &SoakConfig,
-) -> Vec<usize> {
-    let epochs = cfg.mid_audits + 1;
-    let mut planned = vec![0usize; workers];
-    for e in 0..epochs {
-        let epoch_ops = cfg.epoch_ops(e, epochs);
-        for c in 0..cfg.clients {
-            let mut rng = cfg.client_rng(e, c);
-            for _ in 0..cfg.client_ops(epoch_ops, c) {
-                planned[table[sampler.sample(&mut rng)].1] += 1;
-            }
+/// What a soak derives from the object and the config before its first
+/// op: the role menus, the dispatch table and the rank sampler. Built once
+/// per soak (for the big-domain scenarios a multi-million-entry table and
+/// CDF).
+struct Plan<S: EnumerableSpec> {
+    menus: Vec<Vec<S::Op>>,
+    table: Vec<(S::Op, usize)>,
+    sampler: KeySampler,
+}
+
+impl<S: EnumerableSpec> Plan<S> {
+    fn new<O: ConcurrentObject<S>>(obj: &O, cfg: &SoakConfig) -> Self {
+        cfg.validate();
+        let menus = menus_for(obj.spec(), obj.roles());
+        let table = dispatch_table(obj.spec(), &menus, cfg.seed);
+        let sampler = KeySampler::new(cfg.key_dist, table.len());
+        Plan {
+            menus,
+            table,
+            sampler,
         }
     }
-    planned
+
+    /// Dry-runs every client's sampling (no object, no threads) to count
+    /// the operations the soak will route to each worker — the `planned`
+    /// side of the watchdog's [`ProgressCounters`]. Exact under
+    /// [`Backpressure::Block`]; an upper bound under `Reject`.
+    fn progress_counters(&self, cfg: &SoakConfig) -> ProgressCounters {
+        let epochs = cfg.mid_audits + 1;
+        let mut planned = vec![0usize; self.menus.len()];
+        for e in 0..epochs {
+            let epoch_ops = cfg.epoch_ops(e, epochs);
+            for c in 0..cfg.clients {
+                let mut rng = cfg.client_rng(e, c);
+                for _ in 0..cfg.client_ops(epoch_ops, c) {
+                    planned[self.table[self.sampler.sample(&mut rng)].1] += 1;
+                }
+            }
+        }
+        ProgressCounters::new(planned)
+    }
 }
 
 /// What one worker thread hands back when its shard drains.
+#[derive(Default)]
 struct WorkerOut {
     latency: Histogram,
     queue_wait: Histogram,
     service: Histogram,
     applied: usize,
+    handoffs: usize,
     max_depth: usize,
 }
 
@@ -466,12 +649,9 @@ struct ClientState {
 
 /// Runs one epoch: split handles, pump `epoch_ops` operations through the
 /// sharded queues, drain, and return with every handle dropped.
-#[allow(clippy::too_many_arguments)]
 fn run_epoch<S, O>(
     obj: &mut O,
-    menus: &[Vec<S::Op>],
-    table: &[(S::Op, usize)],
-    sampler: &KeySampler,
+    plan: &Plan<S>,
     cfg: &SoakConfig,
     epoch: usize,
     epoch_ops: usize,
@@ -482,6 +662,11 @@ where
     S::Op: Send + Sync,
     O: ConcurrentObject<S>,
 {
+    let Plan {
+        menus,
+        table,
+        sampler,
+    } = plan;
     let (handles, probe) = obj.handles_with_probe();
     assert_eq!(
         handles.len(),
@@ -489,13 +674,17 @@ where
         "handles() disagrees with the declared role discipline"
     );
     let workers = handles.len();
+    let batch = batch_size(cfg.queue_depth);
     let mut txs = Vec::with_capacity(workers);
     let mut rxs = Vec::with_capacity(workers);
     for _ in 0..workers {
-        let (tx, rx) = mpsc::sync_channel::<Envelope<S::Op>>(cfg.queue_depth);
+        let (tx, rx) = mpsc::sync_channel::<Handoff<S::Op>>(cfg.queue_depth / batch);
         txs.push(tx);
         rxs.push(rx);
     }
+    // Per-worker queue-depth gauges, in operations: everything handed off
+    // and not yet dequeued, a hand-off still waiting on a full queue
+    // included.
     let depth: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
     let abort = AtomicBool::new(false);
     let probing_done = AtomicBool::new(false);
@@ -528,37 +717,36 @@ where
             );
             let depth = &depth[w];
             worker_joins.push(s.spawn(move || {
-                let mut wo = WorkerOut {
-                    latency: Histogram::new(),
-                    queue_wait: Histogram::new(),
-                    service: Histogram::new(),
-                    applied: 0,
-                    max_depth: 0,
-                };
-                while let Ok(env) = rx.recv() {
-                    // Gauge read at dequeue: depth including this op.
-                    wo.max_depth = wo.max_depth.max(depth.fetch_sub(1, GAUGE_ORD));
-                    if trace {
-                        // Span stamps: ingress (on the envelope), dequeue,
-                        // complete — so the end-to-end latency splits into
-                        // queue wait + service time, per op.
-                        let dequeued = Instant::now();
-                        let _resp = handle.apply(env.op);
-                        let completed = Instant::now();
-                        let wait = dequeued.duration_since(env.submitted);
-                        let serve = completed.duration_since(dequeued);
-                        wo.queue_wait.record(wait.as_nanos() as u64);
-                        wo.service.record(serve.as_nanos() as u64);
-                        wo.latency
-                            .record(completed.duration_since(env.submitted).as_nanos() as u64);
-                    } else {
-                        // The untraced path: identical op application, one
-                        // clock read per op, end-to-end only.
-                        let _resp = handle.apply(env.op);
-                        wo.latency.record(env.submitted.elapsed().as_nanos() as u64);
-                    }
-                    wo.applied += 1;
-                    progress.bump(w);
+                let mut wo = WorkerOut::default();
+                while let Ok(handoff) = rx.recv() {
+                    let n = handoff.len();
+                    assert!(n <= batch, "a hand-off of {n} ops exceeds B = {batch}");
+                    // Gauge read at dequeue: depth including this hand-off.
+                    wo.max_depth = wo.max_depth.max(depth.fetch_sub(n, GAUGE_ORD));
+                    handoff.for_each(|env| {
+                        if trace {
+                            // Span stamps: ingress (on the envelope),
+                            // dequeue, complete — so the end-to-end latency
+                            // splits into queue wait + service time, per op.
+                            let dequeued = Instant::now();
+                            let _resp = handle.apply(env.op);
+                            let completed = Instant::now();
+                            let wait = dequeued.duration_since(env.submitted);
+                            let serve = completed.duration_since(dequeued);
+                            wo.queue_wait.record(wait.as_nanos() as u64);
+                            wo.service.record(serve.as_nanos() as u64);
+                            wo.latency
+                                .record(completed.duration_since(env.submitted).as_nanos() as u64);
+                        } else {
+                            // The untraced path: identical op application,
+                            // one clock read per op, end-to-end only.
+                            let _resp = handle.apply(env.op);
+                            wo.latency.record(env.submitted.elapsed().as_nanos() as u64);
+                        }
+                    });
+                    wo.applied += n;
+                    wo.handoffs += 1;
+                    progress.bump_by(w, n);
                 }
                 wo
             }));
@@ -599,12 +787,21 @@ where
 
         // --- client threads: each multiplexes a contiguous slice of the
         // logical clients, round-robin, with per-client rank sampling and
-        // arrival gaps.
+        // arrival gaps, and batches their ops per worker.
         let threads = cfg.client_threads.clamp(1, cfg.clients);
         let mut client_joins = Vec::with_capacity(threads);
         for t in 0..threads {
-            let txs: Vec<SyncSender<Envelope<S::Op>>> = txs.clone();
-            let depth = &depth;
+            let mut ingress = Ingress {
+                txs: txs.clone(),
+                pending: (0..workers).map(|_| Vec::new()).collect(),
+                depth: &depth,
+                abort: &abort,
+                batch,
+                backpressure: cfg.backpressure,
+                submitted: 0,
+                rejected: 0,
+                blocked: 0,
+            };
             let abort = &abort;
             let my_clients: Vec<usize> = (0..cfg.clients).filter(|c| c % threads == t).collect();
             client_joins.push(s.spawn(move || {
@@ -616,7 +813,6 @@ where
                         left: cfg.client_ops(epoch_ops, c),
                     })
                     .collect();
-                let (mut submitted, mut rejected, mut blocked) = (0usize, 0usize, 0usize);
                 loop {
                     let mut all_done = true;
                     for cs in &mut states {
@@ -624,48 +820,29 @@ where
                             continue;
                         }
                         if abort.load(GAUGE_ORD) {
-                            return (submitted, rejected, blocked);
+                            return (ingress.submitted, ingress.rejected, ingress.blocked);
                         }
                         all_done = false;
                         cs.left -= 1;
-                        for _ in 0..cs.arrival.next_gap() {
-                            std::thread::yield_now();
+                        let gap = cs.arrival.next_gap();
+                        if gap > 0 {
+                            // About to idle: nothing waits in a batch
+                            // meanwhile.
+                            ingress.flush();
+                            for _ in 0..gap {
+                                std::thread::yield_now();
+                            }
                         }
                         let (op, w) = &table[sampler.sample(&mut cs.rng)];
                         let env = Envelope {
                             op: op.clone(),
                             submitted: Instant::now(),
                         };
-                        // Gauge bumped before the send so the worker's
-                        // decrement can never underflow.
-                        depth[*w].fetch_add(1, GAUGE_ORD);
-                        match txs[*w].try_send(env) {
-                            Ok(()) => submitted += 1,
-                            Err(TrySendError::Full(env)) => match cfg.backpressure {
-                                Backpressure::Block => {
-                                    blocked += 1;
-                                    if txs[*w].send(env).is_ok() {
-                                        submitted += 1;
-                                    } else {
-                                        depth[*w].fetch_sub(1, GAUGE_ORD);
-                                        abort.store(true, GAUGE_ORD);
-                                    }
-                                }
-                                Backpressure::Reject => {
-                                    depth[*w].fetch_sub(1, GAUGE_ORD);
-                                    rejected += 1;
-                                }
-                            },
-                            Err(TrySendError::Disconnected(_)) => {
-                                // The worker died (panicked); stop and let
-                                // the join below surface its payload.
-                                depth[*w].fetch_sub(1, GAUGE_ORD);
-                                abort.store(true, GAUGE_ORD);
-                            }
-                        }
+                        ingress.push(*w, env);
                     }
                     if all_done {
-                        return (submitted, rejected, blocked);
+                        ingress.flush();
+                        return (ingress.submitted, ingress.rejected, ingress.blocked);
                     }
                 }
             }));
@@ -699,13 +876,7 @@ where
                     out.workers.push(wo);
                 }
                 Err(payload) => {
-                    out.workers.push(WorkerOut {
-                        latency: Histogram::new(),
-                        queue_wait: Histogram::new(),
-                        service: Histogram::new(),
-                        applied: 0,
-                        max_depth: 0,
-                    });
+                    out.workers.push(WorkerOut::default());
                     worker_panic = Some((w, panic_message(payload)));
                 }
             }
@@ -775,7 +946,9 @@ where
     O: ConcurrentObject<S>,
     F: FnMut(&AuditPoint<'_>),
 {
-    run_soak_core(obj, cfg, &mut observe, None)
+    let plan = Plan::new(obj, cfg);
+    let counters = plan.progress_counters(cfg);
+    run_soak_core(obj, cfg, &plan, &counters, &mut observe)
 }
 
 /// Drives `obj` through a full soak: `mid_audits + 1` epochs of sharded
@@ -791,40 +964,26 @@ where
     S::Op: Send + Sync,
     O: ConcurrentObject<S>,
 {
-    run_soak_core(obj, cfg, &mut |_| {}, None)
+    run_soak_with(obj, cfg, |_| {})
 }
 
+/// The soak loop over a prepared [`Plan`]. `counters` carry the
+/// per-worker applied/planned progress into the report's metrics; the
+/// watchdogged path shares them with its watchdog.
 fn run_soak_core<S, O>(
     obj: &mut O,
     cfg: &SoakConfig,
+    plan: &Plan<S>,
+    counters: &ProgressCounters,
     observe: &mut dyn FnMut(&AuditPoint<'_>),
-    progress: Option<&ProgressCounters>,
 ) -> Result<SoakReport, SoakError>
 where
     S: EnumerableSpec,
     S::Op: Send + Sync,
     O: ConcurrentObject<S>,
 {
-    cfg.validate();
-    let spec = obj.spec().clone();
-    let menus = menus_for(&spec, obj.roles());
-    let table = dispatch_table(&spec, &menus, cfg.seed);
-    let sampler = KeySampler::new(cfg.key_dist, table.len());
     let auditable = obj.hi_level().auditable();
     let epochs = cfg.mid_audits + 1;
-
-    // Progress counters always exist so the report's metrics carry the
-    // final per-worker applied/planned snapshot; the watchdogged path
-    // passes its own (shared with the watchdog) instead.
-    let owned_counters;
-    let counters = match progress {
-        Some(p) => p,
-        None => {
-            owned_counters =
-                ProgressCounters::new(planned_per_worker::<S>(&table, &sampler, menus.len(), cfg));
-            &owned_counters
-        }
-    };
 
     let start = Instant::now();
     let mut report = SoakReport {
@@ -837,10 +996,11 @@ where
         latency: Histogram::new(),
         queue_wait: Histogram::new(),
         service: Histogram::new(),
-        workers: (0..menus.len())
+        workers: (0..plan.menus.len())
             .map(|w| WorkerStats {
                 worker: w,
                 applied: 0,
+                handoffs: 0,
                 max_queue_depth: 0,
                 latency: Histogram::new(),
                 queue_wait: Histogram::new(),
@@ -868,9 +1028,7 @@ where
     for epoch in 0..epochs {
         let epoch_ops = cfg.epoch_ops(epoch, epochs);
         let load_start = Instant::now();
-        let out = run_epoch(
-            obj, &menus, &table, &sampler, cfg, epoch, epoch_ops, counters,
-        )?;
+        let out = run_epoch(obj, plan, cfg, epoch, epoch_ops, counters)?;
         let load = load_start.elapsed();
         report.ops_submitted += out.submitted;
         report.ops_rejected += out.rejected;
@@ -881,6 +1039,7 @@ where
         report.service.merge(&out.service);
         for (ws, wo) in report.workers.iter_mut().zip(&out.workers) {
             ws.applied += wo.applied;
+            ws.handoffs += wo.handoffs;
             ws.max_queue_depth = ws.max_queue_depth.max(wo.max_depth);
             ws.latency.merge(&wo.latency);
             ws.queue_wait.merge(&wo.queue_wait);
@@ -999,16 +1158,12 @@ where
         .spawn(move || {
             let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut obj = make();
-                let spec = obj.spec().clone();
-                let menus = menus_for(&spec, obj.roles());
-                let table = dispatch_table(&spec, &menus, cfg.seed);
-                let sampler = KeySampler::new(cfg.key_dist, table.len());
-                let planned = planned_per_worker::<S>(&table, &sampler, menus.len(), &cfg);
-                let counters = Arc::new(ProgressCounters::new(planned));
+                let plan = Plan::new(&obj, &cfg);
+                let counters = Arc::new(plan.progress_counters(&cfg));
                 let _ = pre_tx.send(Preflight {
                     counters: Arc::clone(&counters),
                 });
-                run_soak_core(&mut obj, &cfg, &mut |_| {}, Some(&counters))
+                run_soak_core(&mut obj, &cfg, &plan, &counters, &mut |_| {})
             }));
             let _ = done_tx.send(verdict.unwrap_or_else(|payload| {
                 Err(SoakError::Panicked {

@@ -29,6 +29,10 @@
 //!   mid-update**: an insert's displacement chain is written far-end first
 //!   ([`carry_writes`]), a removal's backward shift near-end first.
 //!
+//! An update waiting for `seq`, or a lookup retrying, spins 64 times and
+//! then yields its CPU on each further try, so a holder preempted
+//! mid-update does not cost its waiters a whole timeslice.
+//!
 //! Two extensions make a shard resizable:
 //!
 //! * **Logical capacity.** The shard owns a fixed physical arena (sized
@@ -71,6 +75,23 @@ use crate::resize::rewrite_plan;
 use crate::{cap_for, shard_of};
 
 const ORD: Ordering = Ordering::SeqCst;
+
+/// Spin-wait steps before a thread waiting on a held seqlock starts
+/// yielding its CPU.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// One wait step on a held seqlock: spin briefly, then yield. When the
+/// threads outnumber the cores, the holder can be preempted mid-update;
+/// a waiter that only spins then burns its whole timeslice before the
+/// holder runs again.
+fn backoff(spins: &mut u32) {
+    if *spins < SPINS_BEFORE_YIELD {
+        *spins += 1;
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
 
 /// One shard: a seqlock-protected Robin Hood arena with a logical
 /// capacity that tracks [`cap_for`] of its key count. Keys are routed to
@@ -181,12 +202,13 @@ impl ResizableHiShard {
 
     /// Acquires the update seqlock; returns the odd value now in `seq`.
     fn acquire(&self) -> u64 {
+        let mut spins = 0;
         loop {
             let s = self.seq.load(ORD);
             if s % 2 == 0 && self.seq.compare_exchange(s, s + 1, ORD, ORD).is_ok() {
                 return s + 1;
             }
-            std::hint::spin_loop();
+            backoff(&mut spins);
         }
     }
 
@@ -333,6 +355,7 @@ impl ResizableHiShard {
     /// Panics if `key == 0`.
     pub fn contains(&self, key: u32) -> bool {
         assert!(key != 0, "key 0 is reserved");
+        let mut spins = 0;
         'retry: loop {
             let s1 = self.seq.load(ORD);
             // cap changes only inside the critical section, so an even,
@@ -348,14 +371,14 @@ impl ResizableHiShard {
                     if s1 % 2 == 0 && self.seq.load(ORD) == s1 {
                         return false;
                     }
-                    std::hint::spin_loop();
+                    backoff(&mut spins);
                     continue 'retry;
                 }
                 i = (i + 1) % cap;
             }
             // Full turn without a terminator: a migration rewrote under
             // us. Retry with a fresh seq/cap pair.
-            std::hint::spin_loop();
+            backoff(&mut spins);
         }
     }
 

@@ -282,6 +282,35 @@ fn reject_backpressure_accounts_for_every_submission() {
 }
 
 #[test]
+fn shallow_queues_hand_off_one_op_at_a_time() {
+    // Below depth 16 the hand-off batch size is 1, so every hand-off is one
+    // op and a rejection drops exactly one op, as before batching: the
+    // registry's shedding scenario (depth 4, Reject) and a Block queue at
+    // the largest one-op depth.
+    let block_15 = SoakConfig {
+        queue_depth: 15,
+        ..ci_cfg(5)
+    };
+    for (name, cfg) in [
+        ("soak/universal-counter-reject", ci_cfg(5)),
+        ("soak/universal-counter-bursty", block_15),
+    ] {
+        let report = soak_scenario(name)
+            .expect("registered")
+            .run(&cfg)
+            .expect("soak");
+        assert_eq!(
+            report.ops_submitted + report.ops_rejected,
+            cfg.total_ops,
+            "{name}"
+        );
+        for w in &report.workers {
+            assert_eq!(w.handoffs, w.applied, "{name}: worker {}", w.worker);
+        }
+    }
+}
+
+#[test]
 fn online_probes_sample_perfect_hi_backends_mid_flight() {
     // The two perfect-HI backends (the §5.1 set and the Algorithm 6 LL/SC
     // word) admit the canonical-memory audit at *any* configuration, so the
