@@ -52,7 +52,7 @@ impl AtomicHashTable {
     /// number of threads. Lock-free; the caller must ensure the table cannot
     /// fill (keys inserted < capacity), as a full table would spin.
     ///
-    /// # Contract (enforced in debug builds at phase boundaries)
+    /// # Contract (enforced at phase boundaries)
     ///
     /// Within one phase, each key must be inserted by at most one thread:
     /// a duplicate insert racing an eviction that momentarily holds the
@@ -63,7 +63,7 @@ impl AtomicHashTable {
     /// eviction legally moves it forward past the scan front — so
     /// enforcement happens where the table is quiescent: every phase switch
     /// through [`remove`](AtomicHashTable::remove) (whose `&mut self` proves
-    /// exclusivity) debug-checks the whole table, and drivers can call
+    /// exclusivity) checks the whole table, and drivers can call
     /// [`debug_enforce_unique`](AtomicHashTable::debug_enforce_unique)
     /// between phases. Callers that need racing duplicate inserts should
     /// use the phase-free `hi_shard::ResizableHiShard`, which serializes
@@ -120,11 +120,11 @@ impl AtomicHashTable {
         self.slots.iter().filter(|s| s.load(ORD) == key).count()
     }
 
-    /// Debug enforcement of the insert-phase contract: panics if `key` is
+    /// Enforcement of the insert-phase contract: panics if `key` is
     /// double-placed. Call **between phases** (no insert in flight), where
     /// [`copies_of`](AtomicHashTable::copies_of) is exact;
     /// [`remove`](AtomicHashTable::remove) runs the table-wide equivalent
-    /// automatically at every delete-phase entry in debug builds.
+    /// automatically at every delete-phase entry.
     pub fn debug_enforce_unique(&self, key: u32) {
         let copies = self.copies_of(key);
         assert!(
@@ -134,9 +134,8 @@ impl AtomicHashTable {
         );
     }
 
-    /// Table-wide duplicate check, used by the debug phase-boundary
-    /// enforcement: the first key occupying two slots, if any.
-    #[cfg(debug_assertions)]
+    /// Table-wide duplicate check, used by the phase-boundary enforcement:
+    /// the first key occupying two slots, if any.
     fn first_duplicate(&self) -> Option<u32> {
         let mut seen = std::collections::HashSet::new();
         self.slots
@@ -170,12 +169,11 @@ impl AtomicHashTable {
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if the preceding insert phase double-placed a
-    /// key (the `&mut self` receiver proves the table is quiescent here, so
-    /// the table-wide scan is exact — see
-    /// [`insert`](AtomicHashTable::insert)'s contract).
+    /// Panics if the preceding insert phase double-placed a key (the
+    /// `&mut self` receiver proves the table is quiescent here, so the
+    /// table-wide scan is exact — see [`insert`](AtomicHashTable::insert)'s
+    /// contract). The scan is O(capacity), like the rebuild that follows.
     pub fn remove(&mut self, key: u32) -> bool {
-        #[cfg(debug_assertions)]
         if let Some(dup) = self.first_duplicate() {
             panic!(
                 "phase contract violated: key {dup} occupies multiple slots \

@@ -68,9 +68,13 @@ pub use threaded::{ResizableHiShard, ShardedHiHashTable};
 /// Fixed (not randomized) for the same reason as the probe hash: the
 /// canonical representation must be determined at initialization.
 pub fn shard_of(key: u32, shards: usize) -> usize {
+    shard_hash(key) as usize % shards
+}
+
+/// The 32-bit split-hash [`shard_of`] reduces modulo the shard count.
+fn shard_hash(key: u32) -> u32 {
     debug_assert!(key != 0, "key 0 is reserved for empty slots");
-    let h = u64::from(key).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    ((h >> 32) as usize) % shards
+    (u64::from(key).wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 32) as u32
 }
 
 /// The capacity a shard holding `count` keys must have: the smallest
@@ -94,10 +98,12 @@ mod tests {
     #[test]
     fn shard_map_is_total_and_fixed() {
         for shards in 1..=8 {
+            let table = ShardedHiHashTable::new(1_000, shards, 2);
             for key in 1..=1_000u32 {
                 let s = shard_of(key, shards);
                 assert!(s < shards);
                 assert_eq!(s, shard_of(key, shards), "routing must be stable");
+                assert_eq!(s, table.shard_index(key), "the table routes by shard_of");
             }
         }
     }

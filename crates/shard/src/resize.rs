@@ -142,7 +142,9 @@ pub fn rewrite_plan(current: &[u32], target: &[u32]) -> Vec<(usize, u32)> {
 mod tests {
     use super::*;
     use hi_core::SplitMix64;
-    use hi_hashtable::{canonical_layout, carry_writes, displacement, incumbent_wins, slot_of};
+    use hi_hashtable::{
+        canonical_layout, carry_writes, displacement, incumbent_wins, slot_of, Ring,
+    };
 
     /// Applies `plan` to a copy of `current`, asserting the never-absent
     /// and no-invented-keys invariants at every write prefix. Returns the
@@ -258,9 +260,9 @@ mod tests {
     }
 
     /// The insert fast path's writes: probe for absent `key`'s insertion
-    /// point in the canonical image `mem`, collect the occupied run behind
-    /// it, and carry — exactly as `ResizableHiShard::insert` does
-    /// off-boundary.
+    /// point in the canonical image `mem` and record the writes of the
+    /// shipped in-place carry, after asserting they are the reference
+    /// carry's — [`carry_writes`] over the occupied run behind the point.
     fn carry_of(mem: &[u32], key: u32) -> Vec<(usize, u32)> {
         let cap = mem.len();
         let mut a = slot_of(key, cap);
@@ -273,7 +275,20 @@ mod tests {
             run.push(mem[z]);
             z = (z + 1) % cap;
         }
-        carry_writes(key, a, &run, cap)
+        let mut shipped = Vec::new();
+        crate::threaded::carry_in_place(
+            Ring::new(cap),
+            key,
+            a,
+            |i| mem[i],
+            |i, v| shipped.push((i, v)),
+        );
+        assert_eq!(
+            shipped,
+            carry_writes(key, a, &run, cap),
+            "cap {cap}, image {mem:?}: the in-place carry of {key} left the reference"
+        );
+        shipped
     }
 
     /// The remove fast path's writes: the backward shift from the hole at

@@ -13,8 +13,9 @@
 //!
 //! The memory representation is the canonical Robin Hood array of
 //! [`HiHashTable`](hi_hashtable::HiHashTable): linear probing, the fixed
-//! priority rule of [`incumbent_wins`], backward-shift deletion, no
-//! tombstones. Concurrency is split by operation kind:
+//! priority rule of [`incumbent_wins`](hi_hashtable::incumbent_wins),
+//! backward-shift deletion, no tombstones. Concurrency is split by
+//! operation kind:
 //!
 //! * **Lookups never block and never write.** A `contains` walks the probe
 //!   sequence; sighting the key anywhere is a valid *present* verdict at
@@ -27,7 +28,14 @@
 //!   +2 to release) and rewrite slots in a *duplicate-then-overwrite*
 //!   order, so **no present key is ever absent from the array
 //!   mid-update**: an insert's displacement chain is written far-end first
-//!   ([`carry_writes`]), a removal's backward shift near-end first.
+//!   ([`carry_writes`](hi_hashtable::carry_writes)), a removal's backward
+//!   shift near-end first.
+//!
+//! The off-boundary fast paths allocate nothing and do one division per
+//! operation: the insert carry is an in-place shift of the probe run
+//! (pinned write for write to `carry_writes`), and every probe step
+//! reduces through a [`Ring`] built once from the capacity the operation
+//! read, instead of `%`.
 //!
 //! An update waiting for `seq`, or a lookup retrying, spins 64 times and
 //! then yields its CPU on each further try, so a holder preempted
@@ -69,10 +77,10 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use hi_hashtable::{canonical_layout, carry_writes, displacement, incumbent_wins, slot_of};
+use hi_hashtable::{canonical_layout, Ring};
 
 use crate::resize::rewrite_plan;
-use crate::{cap_for, shard_of};
+use crate::{cap_for, shard_hash, shard_of};
 
 const ORD: Ordering = Ordering::SeqCst;
 
@@ -220,17 +228,17 @@ impl ResizableHiShard {
     /// Walks `key`'s probe sequence in the live prefix under the held
     /// lock. `Ok(i)`: `key` sits at slot `i`; `Err(i)`: first slot where
     /// it would be stored.
-    fn probe_locked(&self, key: u32, cap: usize) -> Result<usize, usize> {
-        let mut i = slot_of(key, cap);
-        for _ in 0..cap {
+    fn probe_locked(&self, key: u32, ring: Ring) -> Result<usize, usize> {
+        let mut i = ring.home(key);
+        for d in 0..ring.cap() {
             let occ = self.arena[i].load(ORD);
             if occ == key {
                 return Ok(i);
             }
-            if occ == 0 || !incumbent_wins(occ, key, i, cap) {
+            if occ == 0 || !ring.incumbent_wins(occ, key, d, i) {
                 return Err(i);
             }
-            i = (i + 1) % cap;
+            i = ring.next(i);
         }
         panic!("probe of {key} found no terminator: shard over-full?");
     }
@@ -266,7 +274,8 @@ impl ResizableHiShard {
         assert!(key != 0, "key 0 is reserved");
         let s = self.acquire();
         let cap = self.cap.load(ORD);
-        let a = match self.probe_locked(key, cap) {
+        let ring = Ring::new(cap);
+        let a = match self.probe_locked(key, ring) {
             Ok(_) => {
                 self.release(s);
                 return false;
@@ -283,19 +292,13 @@ impl ResizableHiShard {
         );
         if new_cap == cap {
             // Off-boundary fast path: the Robin Hood carry.
-            let mut run = Vec::new();
-            let mut z = a;
-            loop {
-                let occ = self.arena[z].load(ORD);
-                if occ == 0 {
-                    break;
-                }
-                run.push(occ);
-                z = (z + 1) % cap;
-            }
-            for (slot, val) in carry_writes(key, a, &run, cap) {
-                self.arena[slot].store(val, ORD);
-            }
+            carry_in_place(
+                ring,
+                key,
+                a,
+                |i| self.arena[i].load(ORD),
+                |i, v| self.arena[i].store(v, ORD),
+            );
         } else {
             let keys = self.live_keys(cap).into_iter().chain([key]);
             self.migrate(cap, new_cap, keys);
@@ -315,7 +318,8 @@ impl ResizableHiShard {
         assert!(key != 0, "key 0 is reserved");
         let s = self.acquire();
         let cap = self.cap.load(ORD);
-        let p = match self.probe_locked(key, cap) {
+        let ring = Ring::new(cap);
+        let p = match self.probe_locked(key, ring) {
             Ok(p) => p,
             Err(_) => {
                 self.release(s);
@@ -328,9 +332,9 @@ impl ResizableHiShard {
             // Off-boundary fast path: backward shift, near-end first.
             let mut hole = p;
             loop {
-                let next = (hole + 1) % cap;
+                let next = ring.next(hole);
                 let occ = self.arena[next].load(ORD);
-                if occ == 0 || displacement(occ, next, cap) == 0 {
+                if occ == 0 || ring.displacement(occ, next) == 0 {
                     break;
                 }
                 self.arena[hole].store(occ, ORD);
@@ -360,21 +364,21 @@ impl ResizableHiShard {
             let s1 = self.seq.load(ORD);
             // cap changes only inside the critical section, so an even,
             // unchanged seq at the verdict also certifies this read.
-            let cap = self.cap.load(ORD);
-            let mut i = slot_of(key, cap);
-            for _ in 0..cap {
+            let ring = Ring::new(self.cap.load(ORD));
+            let mut i = ring.home(key);
+            for d in 0..ring.cap() {
                 let occ = self.arena[i].load(ORD);
                 if occ == key {
                     return true;
                 }
-                if occ == 0 || !incumbent_wins(occ, key, i, cap) {
+                if occ == 0 || !ring.incumbent_wins(occ, key, d, i) {
                     if s1 % 2 == 0 && self.seq.load(ORD) == s1 {
                         return false;
                     }
                     backoff(&mut spins);
                     continue 'retry;
                 }
-                i = (i + 1) % cap;
+                i = ring.next(i);
             }
             // Full turn without a terminator: a migration rewrote under
             // us. Retry with a fresh seq/cap pair.
@@ -392,6 +396,32 @@ impl ResizableHiShard {
     }
 }
 
+/// The off-boundary Robin Hood carry of absent `key` into the canonical
+/// run starting at its insertion point `a`, in place: walk to the run's
+/// empty slot, shift the run right by one slot far-end first, write `key`
+/// at `a` last. On a canonical run this is exactly the write sequence of
+/// [`carry_writes`](hi_hashtable::carry_writes) (a test in `resize` pins
+/// it), so no present key is ever absent mid-carry. Every slot is loaded
+/// before it is stored.
+pub(crate) fn carry_in_place(
+    ring: Ring,
+    key: u32,
+    a: usize,
+    load: impl Fn(usize) -> u32,
+    mut store: impl FnMut(usize, u32),
+) {
+    let mut z = a;
+    while load(z) != 0 {
+        z = ring.next(z);
+    }
+    while z != a {
+        let prev = ring.prev(z);
+        store(z, load(prev));
+        z = prev;
+    }
+    store(a, key);
+}
+
 /// The sharded HI hash set over `{1..=t}`: keys route to [`ResizableHiShard`]s
 /// through the fixed [`shard_of`] map. All operations take `&self` and may
 /// run from any number of threads in any mix; updates to different shards
@@ -400,6 +430,9 @@ impl ResizableHiShard {
 pub struct ShardedHiHashTable {
     t: u32,
     shards: Vec<ResizableHiShard>,
+    /// [`shard_of`]'s reduction modulo the shard count, fixed at
+    /// construction.
+    map: Ring,
 }
 
 impl ShardedHiHashTable {
@@ -424,6 +457,7 @@ impl ShardedHiHashTable {
                 .into_iter()
                 .map(|max_keys| ResizableHiShard::new(base, max_keys))
                 .collect(),
+            map: Ring::new(shards),
         }
     }
 
@@ -444,12 +478,12 @@ impl ShardedHiHashTable {
 
     /// The shard `key` routes to.
     pub fn shard_index(&self, key: u32) -> usize {
-        shard_of(key, self.shards.len())
+        self.map.reduce(shard_hash(key))
     }
 
     fn route(&self, key: u32) -> &ResizableHiShard {
         assert!((1..=self.t).contains(&key), "element {key} out of domain");
-        &self.shards[shard_of(key, self.shards.len())]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Total number of keys stored. Exact at state-quiescent points.
@@ -544,28 +578,31 @@ mod tests {
 
     #[test]
     fn sequential_equivalence_with_resizes() {
-        let table = ShardedHiHashTable::new(64, 4, 2);
-        let mut reference: BTreeSet<u32> = BTreeSet::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..2_000 {
-            let k = rng.gen_range(1u32..=64);
-            match rng.gen_range(0u8..3) {
-                0 => assert_eq!(table.insert(k), reference.insert(k), "insert {k}"),
-                1 => assert_eq!(table.remove(k), reference.remove(&k), "remove {k}"),
-                _ => assert_eq!(table.contains(k), reference.contains(&k), "contains {k}"),
+        // Base 2 keeps every capacity a power of two; base 3 makes none.
+        for base in [2usize, 3] {
+            let table = ShardedHiHashTable::new(64, 4, base);
+            let mut reference: BTreeSet<u32> = BTreeSet::new();
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..2_000 {
+                let k = rng.gen_range(1u32..=64);
+                match rng.gen_range(0u8..3) {
+                    0 => assert_eq!(table.insert(k), reference.insert(k), "insert {k}"),
+                    1 => assert_eq!(table.remove(k), reference.remove(&k), "remove {k}"),
+                    _ => assert_eq!(table.contains(k), reference.contains(&k), "contains {k}"),
+                }
+                assert_eq!(table.len(), reference.len());
             }
-            assert_eq!(table.len(), reference.len());
+            assert_eq!(table.keys(), reference.iter().copied().collect::<Vec<_>>());
+            assert_eq!(
+                table.memory(),
+                table.canonical_memory(reference.iter().copied()),
+                "base {base}: quiescent memory must be the composed canonical image"
+            );
+            assert!(
+                table.resizes() > 0,
+                "a 2k-op churn over 64 keys must cross capacity boundaries"
+            );
         }
-        assert_eq!(table.keys(), reference.iter().copied().collect::<Vec<_>>());
-        assert_eq!(
-            table.memory(),
-            table.canonical_memory(reference.iter().copied()),
-            "quiescent memory must be the composed canonical image"
-        );
-        assert!(
-            table.resizes() > 0,
-            "a 2k-op churn over 64 keys must cross capacity boundaries"
-        );
     }
 
     #[test]
@@ -765,6 +802,26 @@ mod tests {
         reference.remove(21);
         assert_eq!(slots(&shard), reference.memory());
         assert_eq!(shard.resizes(), 0);
+        // The same at capacities that are not powers of two (29 is the
+        // service table's): a seeded churn, filled to the load bound,
+        // compared slot for slot after every operation.
+        for (cap, max_keys) in [(32usize, 24usize), (29, 21), (3, 2)] {
+            let shard = ResizableHiShard::new(cap, max_keys);
+            let mut reference = HiHashTable::new(cap);
+            let mut rng = StdRng::seed_from_u64(cap as u64);
+            for _ in 0..2_000 {
+                let k = rng.gen_range(1u32..=4 * cap as u32);
+                match rng.gen_range(0u8..3) {
+                    0 if reference.len() < max_keys => {
+                        assert_eq!(shard.insert(k), reference.insert(k), "insert {k}")
+                    }
+                    1 => assert_eq!(shard.remove(k), reference.remove(k), "remove {k}"),
+                    _ => assert_eq!(shard.contains(k), reference.contains(k), "contains {k}"),
+                }
+                assert_eq!(slots(&shard), reference.memory(), "cap {cap}");
+            }
+            assert_eq!(shard.resizes(), 0, "cap {cap} never migrates");
+        }
     }
 
     #[test]
