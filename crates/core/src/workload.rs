@@ -72,11 +72,89 @@ pub enum KeyDist {
 
 /// A sampler of ranks in `0..n` under a [`KeyDist`], deterministic given
 /// the caller's [`SplitMix64`] stream.
+///
+/// A Zipfian draw takes the 53 bits [`SplitMix64::unit`] would turn into
+/// `u ∈ [0, 1)` and returns the first rank whose cumulative probability
+/// exceeds `u`. A guide table in front of the CDF (the cutpoint method of
+/// Chen & Asau, 1974) narrows that search: the top `log2 K` of the 53 bits
+/// name a bucket `j`, and `guide[j]` is the first rank whose cumulative
+/// probability exceeds `j / K`. Since `j / K ≤ u < (j + 1) / K` and the CDF
+/// is non-decreasing, the full-CDF binary search would land in
+/// `guide[j]..=guide[j + 1]`, so searching only that bracket returns the
+/// same rank for every draw. `K` is the power of two at or above `4n`,
+/// capped at 2^20, so the guide costs at most 4 MiB next to the CDF's
+/// `8n` bytes.
 #[derive(Clone, Debug)]
 pub struct KeySampler {
     n: usize,
-    /// Cumulative rank probabilities (`None` for the uniform fast path).
-    cdf: Option<Vec<f64>>,
+    /// The Zipfian search tables (`None` for the uniform fast path).
+    zipf: Option<Zipf>,
+}
+
+/// A Zipfian sampler's cumulative probabilities and their guide table.
+#[derive(Clone, Debug)]
+struct Zipf {
+    /// Cumulative rank probabilities.
+    cdf: Vec<f64>,
+    /// `K + 1` entries for `K` a power of two: entry `j` is the first rank
+    /// whose cumulative probability exceeds `j / K`.
+    guide: Vec<u32>,
+    /// `53 - log2 K`: a 53-bit draw shifted right by this is its bucket.
+    shift: u32,
+}
+
+impl Zipf {
+    fn new(theta: f64, n: usize) -> Self {
+        let mut acc = 0.0;
+        let mut cdf: Vec<f64> = (0..n)
+            .map(|i| {
+                acc += 1.0 / ((i + 1) as f64).powf(theta);
+                acc
+            })
+            .collect();
+        let total = acc;
+        for c in &mut cdf {
+            *c /= total;
+        }
+        let k = (4 * n).next_power_of_two().min(1 << 20);
+        // One merge pass over the CDF and the bucket edges `j / K` (exact
+        // in f64, since K is a power of two).
+        let mut rank = 0;
+        let guide = (0..=k)
+            .map(|j| {
+                let edge = j as f64 / k as f64;
+                while rank < n && cdf[rank] <= edge {
+                    rank += 1;
+                }
+                rank as u32
+            })
+            .collect();
+        Zipf {
+            cdf,
+            guide,
+            shift: 53 - k.trailing_zeros(),
+        }
+    }
+
+    /// The rank of the 53-bit draw `x`, i.e. of `u = x / 2^53`.
+    fn rank_of(&self, x: u64) -> usize {
+        let u = x as f64 / (1u64 << 53) as f64;
+        let j = (x >> self.shift) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        // First rank whose cumulative probability exceeds u; the final
+        // entry is 1.0 (up to rounding), so the clamp covers the u ≈ 1 edge.
+        (lo + self.cdf[lo..hi].partition_point(|&c| c <= u)).min(self.cdf.len() - 1)
+    }
+
+    /// The unguided search `rank_of` must match: a binary search of the
+    /// whole CDF.
+    #[cfg(test)]
+    fn full_search_rank_of(&self, x: u64) -> usize {
+        let u = x as f64 / (1u64 << 53) as f64;
+        self.cdf
+            .partition_point(|&c| c <= u)
+            .min(self.cdf.len() - 1)
+    }
 }
 
 impl KeySampler {
@@ -84,31 +162,25 @@ impl KeySampler {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or a Zipfian `theta` is negative or non-finite.
+    /// Panics if `n == 0`, if a Zipfian `theta` is negative or non-finite,
+    /// or if a Zipfian `n` exceeds `u32::MAX`.
     pub fn new(dist: KeyDist, n: usize) -> Self {
         assert!(n > 0, "a sampler needs at least one rank");
-        let cdf = match dist {
+        let zipf = match dist {
             KeyDist::Uniform => None,
             KeyDist::Zipfian { theta } => {
                 assert!(
                     theta.is_finite() && theta >= 0.0,
                     "Zipfian theta must be finite and >= 0, got {theta}"
                 );
-                let mut acc = 0.0;
-                let mut cdf: Vec<f64> = (0..n)
-                    .map(|i| {
-                        acc += 1.0 / ((i + 1) as f64).powf(theta);
-                        acc
-                    })
-                    .collect();
-                let total = acc;
-                for c in &mut cdf {
-                    *c /= total;
-                }
-                Some(cdf)
+                assert!(
+                    u32::try_from(n).is_ok(),
+                    "a Zipfian sampler takes at most u32::MAX ranks, got {n}"
+                );
+                Some(Zipf::new(theta, n))
             }
         };
-        KeySampler { n, cdf }
+        KeySampler { n, zipf }
     }
 
     /// The number of ranks.
@@ -118,15 +190,9 @@ impl KeySampler {
 
     /// Draws one rank in `0..n`.
     pub fn sample(&self, rng: &mut SplitMix64) -> usize {
-        match &self.cdf {
+        match &self.zipf {
             None => rng.below(self.n),
-            Some(cdf) => {
-                let u = rng.unit();
-                // First rank whose cumulative probability exceeds u; the
-                // final entry is 1.0 (up to rounding), so clamp covers the
-                // u ≈ 1 edge.
-                cdf.partition_point(|&c| c <= u).min(self.n - 1)
-            }
+            Some(zipf) => zipf.rank_of(rng.next_u64() >> 11),
         }
     }
 }
@@ -343,6 +409,82 @@ mod tests {
             "rank 0 ({}) should dwarf rank 49 ({})",
             counts[0],
             counts[49]
+        );
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Checks the guided search against the full-CDF search for one `n`
+    /// under every skew of the grid: 10^5 stream draws, both sides of
+    /// every bucket edge, and the largest 53-bit draw (the clamp edge).
+    fn assert_guided_draws_match_full_search(n: usize) {
+        for theta in [0.0, 0.8, 1.0, 1.05, 1.1, 1.2, 2.5] {
+            let sampler = KeySampler::new(KeyDist::Zipfian { theta }, n);
+            let zipf = sampler.zipf.as_ref().unwrap();
+            let k = zipf.guide.len() - 1;
+            let check = |x: u64| {
+                assert_eq!(
+                    zipf.rank_of(x),
+                    zipf.full_search_rank_of(x),
+                    "n = {n}, theta = {theta}, x = {x:#x}"
+                );
+            };
+            let mut rng = SplitMix64::new(0x5eed ^ n as u64);
+            for _ in 0..100_000 {
+                check(rng.next_u64() >> 11);
+            }
+            for j in 1..k as u64 {
+                let edge = j << zipf.shift;
+                check(edge);
+                check(edge - 1);
+            }
+            check(0);
+            check((1 << 53) - 1);
+        }
+    }
+
+    #[test]
+    fn guided_draws_equal_the_full_cdf_search_on_small_tables() {
+        for n in [1, 2, 3, 7, 48, 100, 1000] {
+            assert_guided_draws_match_full_search(n);
+        }
+    }
+
+    #[test]
+    fn guided_draws_equal_the_full_cdf_search_at_24k_ranks() {
+        assert_guided_draws_match_full_search(24_576);
+    }
+
+    #[test]
+    fn guided_draws_equal_the_full_cdf_search_at_64k_ranks() {
+        assert_guided_draws_match_full_search(1 << 16);
+    }
+
+    #[test]
+    fn zipfian_draws_match_their_golden_digests() {
+        // Recorded from the full-CDF search the guide replaced: any change
+        // to the CDF, the draw or the RNG stream moves these.
+        let ranks = |n: usize, theta: f64| {
+            let sampler = KeySampler::new(KeyDist::Zipfian { theta }, n);
+            let mut rng = SplitMix64::new(0xbe7c);
+            fnv((0..1 << 16).map(|_| sampler.sample(&mut rng) as u64))
+        };
+        assert_eq!(ranks(24_576, 1.05), 0x8a0b_79c9_4bb8_e9b7);
+        assert_eq!(ranks(48, 1.1), 0x7230_6124_8003_1a64);
+        let menu: Vec<u32> = (0..24).collect();
+        let script = skewed_script(&menu, 5_000, 0xabcd, KeyDist::Zipfian { theta: 1.2 });
+        assert_eq!(
+            fnv(script.iter().map(|&v| u64::from(v))),
+            0x2bcc_12e9_c5e3_ba5e
         );
     }
 

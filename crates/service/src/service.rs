@@ -568,8 +568,9 @@ fn dispatch_table<S: EnumerableSpec>(
 
 /// What a soak derives from the object and the config before its first
 /// op: the role menus, the dispatch table and the rank sampler. Built once
-/// per soak (for the big-domain scenarios a multi-million-entry table and
-/// CDF).
+/// per soak (for the big-domain scenarios a multi-million-entry table, and
+/// under Zipfian skew a CDF with its guide table, so each draw is one
+/// guide lookup and a short bracket search).
 struct Plan<S: EnumerableSpec> {
     menus: Vec<Vec<S::Op>>,
     table: Vec<(S::Op, usize)>,
