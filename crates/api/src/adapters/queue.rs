@@ -1,113 +1,22 @@
-//! [`ConcurrentObject`] adapter for the positional HI queue (§5.4's
-//! companion possibility result).
+//! [`ConcurrentObject`](crate::ConcurrentObject) adapter for the positional
+//! HI queue (§5.4's companion possibility result): its simulator step
+//! machine on an atomic arena ([`crate::threaded`]).
 
-use hi_core::objects::{BoundedQueueSpec, QueueOp, QueueResp};
-use hi_queue::threaded::{AtomicPositionalQueue, QueueMutator, QueuePeeker};
+use hi_core::objects::BoundedQueueSpec;
+use hi_queue::PositionalQueue;
 
-use crate::object::{ConcurrentObject, HiLevel, ObjectHandle, Progress, Roles};
+use crate::threaded::{machine_adapter, Machines};
 
-/// The positional HI queue through the unified facade: single mutator
-/// (`Enqueue`/`Dequeue`, wait-free), single observer (`Peek`, lock-free),
-/// state-quiescent HI.
-#[derive(Debug)]
-pub struct QueueObject {
-    spec: BoundedQueueSpec,
-    q: AtomicPositionalQueue,
+machine_adapter! {
+    /// The positional HI queue through the unified facade: single mutator
+    /// (`Enqueue`/`Dequeue`, wait-free), single observer (`Peek`,
+    /// lock-free), state-quiescent HI.
+    QueueObject(BoundedQueueSpec, PositionalQueue)
 }
 
 impl QueueObject {
     /// Creates the queue implementing `spec`, initially empty.
     pub fn new(spec: BoundedQueueSpec) -> Self {
-        QueueObject {
-            spec,
-            q: AtomicPositionalQueue::new(spec.t(), spec.cap()),
-        }
-    }
-
-    /// The underlying backend, for backend-specific inspection.
-    pub fn backend(&self) -> &AtomicPositionalQueue {
-        &self.q
-    }
-}
-
-/// Role handle of [`QueueObject`].
-#[derive(Debug)]
-pub enum QueueHandle<'a> {
-    /// Handle 0: the single mutator.
-    Mutator(QueueMutator<'a>),
-    /// Handle 1: the single observer.
-    Observer(QueuePeeker<'a>),
-}
-
-impl ObjectHandle<BoundedQueueSpec> for QueueHandle<'_> {
-    fn apply(&mut self, op: QueueOp) -> QueueResp {
-        match (self, op) {
-            (QueueHandle::Mutator(m), QueueOp::Enqueue(v)) => {
-                if m.enqueue(v) {
-                    QueueResp::Empty
-                } else {
-                    QueueResp::Full
-                }
-            }
-            (QueueHandle::Mutator(m), QueueOp::Dequeue) => match m.dequeue() {
-                Some(v) => QueueResp::Value(v),
-                None => QueueResp::Empty,
-            },
-            (QueueHandle::Observer(p), QueueOp::Peek) => match p.peek() {
-                Some(v) => QueueResp::Value(v),
-                None => QueueResp::Empty,
-            },
-            (QueueHandle::Mutator(_), op) => panic!("the mutator cannot invoke {op:?}"),
-            (QueueHandle::Observer(_), op) => panic!("the observer cannot invoke {op:?}"),
-        }
-    }
-
-    fn supports(&self, op: &QueueOp) -> bool {
-        matches!(
-            (self, op),
-            (
-                QueueHandle::Mutator(_),
-                QueueOp::Enqueue(_) | QueueOp::Dequeue
-            ) | (QueueHandle::Observer(_), QueueOp::Peek)
-        )
-    }
-}
-
-impl ConcurrentObject<BoundedQueueSpec> for QueueObject {
-    type Handle<'a> = QueueHandle<'a>;
-
-    fn spec(&self) -> &BoundedQueueSpec {
-        &self.spec
-    }
-
-    fn roles(&self) -> Roles {
-        Roles::SingleWriterSingleReader
-    }
-
-    fn hi_level(&self) -> HiLevel {
-        HiLevel::StateQuiescent
-    }
-
-    fn progress(&self) -> Progress {
-        // Peek spins while LEN claims a non-empty queue whose front slot is
-        // still clear: a mutator crashed mid-Enqueue/Dequeue wedges it.
-        Progress::Blocking
-    }
-
-    fn handles(&mut self) -> Vec<QueueHandle<'_>> {
-        let (m, p) = self.q.split();
-        vec![QueueHandle::Mutator(m), QueueHandle::Observer(p)]
-    }
-
-    fn mem_snapshot(&self) -> Vec<u64> {
-        self.q.snapshot()
-    }
-
-    fn canonical(&self, state: &Vec<u32>) -> Option<Vec<u64>> {
-        Some(self.q.canonical(state))
-    }
-
-    fn abstract_state(&self) -> Vec<u32> {
-        self.q.decode_state()
+        QueueObject(Machines::new(PositionalQueue::new(spec.t(), spec.cap())))
     }
 }

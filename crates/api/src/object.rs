@@ -186,8 +186,8 @@ pub trait ConcurrentObject<S: ObjectSpec> {
     /// Hands out one handle per role ([`Roles::num_handles`] of them, in
     /// role order). The `&mut` receiver proves quiescence — no handle from
     /// an earlier split is outstanding — so re-splitting mid-lifetime is
-    /// sound: adapters reconstruct any mutator-local state from the
-    /// (canonical) quiescent memory.
+    /// sound: the step-machine adapters ([`crate::threaded`]) hand out the
+    /// same persistent process machines again, local state included.
     fn handles(&mut self) -> Vec<Self::Handle<'_>>;
 
     /// Hands out the role handles *plus* an [`OnlineProbe`] when this

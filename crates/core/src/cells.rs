@@ -1,52 +1,16 @@
-//! Shared helpers for threaded backends built from `AtomicU8` binary cells.
+//! Decoding arrays of binary cells.
 //!
 //! The paper's constructions (§4, §5) build multi-valued objects from arrays
-//! of *binary* base registers. Every threaded backend in this workspace
-//! realizes such an array as a `Box<[AtomicU8]>` and snapshots it cell by
-//! cell with sequentially consistent loads; these helpers are that shared
-//! idiom, used by `hi_registers::threaded`, `hi_queue::threaded` and the
-//! `hi-api` adapters instead of per-crate copies.
-//!
-//! A cell-by-cell snapshot is *not* an atomic snapshot of the whole array:
-//! it only equals `mem(C)` at quiescent points of the caller's protocol,
-//! which is exactly where the paper's HI definitions observe memory.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// The memory ordering used by all threaded backends (the paper assumes
-/// atomic base registers, i.e. sequential consistency).
-pub const CELL_ORD: Ordering = Ordering::SeqCst;
-
-/// Allocates `len` binary cells, all zero.
-pub fn zero_bits(len: usize) -> Box<[AtomicU8]> {
-    (0..len).map(|_| AtomicU8::new(0)).collect()
-}
-
-/// Allocates cells `1..=k` with exactly `A[v0] = 1` (the canonical one-hot
-/// representation of value `v0`); all zero when `v0 = 0`.
-pub fn one_hot_bits(k: u64, v0: u64) -> Box<[AtomicU8]> {
-    (1..=k).map(|v| AtomicU8::new(u8::from(v == v0))).collect()
-}
-
-/// Reads every cell with [`CELL_ORD`] and widens to the `Vec<u64>` shape all
-/// `mem(C)` snapshots in this workspace use.
-pub fn snapshot_bits(bits: &[AtomicU8]) -> Vec<u64> {
-    bits.iter().map(|b| u64::from(b.load(CELL_ORD))).collect()
-}
-
-/// The smallest index `v` in `1..=len` with `bits[v-1] = 1`, or `None` if
-/// the array is all zero. At quiescent points of the §4 register algorithms
-/// this is the current value (their readers return the smallest set index).
-pub fn lowest_set(bits: &[AtomicU8]) -> Option<u64> {
-    bits.iter()
-        .position(|b| b.load(CELL_ORD) == 1)
-        .map(|i| i as u64 + 1)
-}
+//! of *binary* base registers. Those arrays now live in one place: the
+//! simulator's step machines lay them out in a `hi_sim::SharedMem`, and the
+//! threaded world runs the same machines on a `hi_sim::AtomicMem` built
+//! from it. What stays here is the characteristic-vector decode that the
+//! §5.1 set's sim audit and its `Layout::state_of` (which the threaded
+//! adapter reads its arena through) share.
 
 /// Decodes a characteristic-vector snapshot (entry `e-1` holds element `e`'s
 /// bit) into the `SetSpec`/`HashSetSpec` state shape: a bitmask with bit `e`
-/// set iff element `e` is present. The one decode both the threaded HI-set
-/// backend and the registry's sim oracles share.
+/// set iff element `e` is present.
 pub fn mask_of_bits(snap: &[u64]) -> u64 {
     snap.iter().enumerate().fold(0u64, |mask, (i, &b)| {
         if b == 1 {
@@ -55,23 +19,4 @@ pub fn mask_of_bits(snap: &[u64]) -> u64 {
             mask
         }
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn one_hot_snapshot_round_trip() {
-        let bits = one_hot_bits(5, 3);
-        assert_eq!(snapshot_bits(&bits), vec![0, 0, 1, 0, 0]);
-        assert_eq!(lowest_set(&bits), Some(3));
-    }
-
-    #[test]
-    fn zero_bits_have_no_set_index() {
-        let bits = zero_bits(4);
-        assert_eq!(snapshot_bits(&bits), vec![0, 0, 0, 0]);
-        assert_eq!(lowest_set(&bits), None);
-    }
 }

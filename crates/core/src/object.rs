@@ -120,6 +120,17 @@ impl Roles {
             Roles::MultiProcess { n } => *n,
         }
     }
+
+    /// Whether `role` may invoke `op` of `spec` under this discipline: the
+    /// mutator (role 0) owns exactly the mutator operations
+    /// ([`ObjectSpec::is_mutator_op`]); a symmetric role owns every
+    /// operation [`ObjectSpec::op_owner`] does not assign elsewhere.
+    pub fn allows<S: ObjectSpec>(&self, spec: &S, role: usize, op: &S::Op) -> bool {
+        match self {
+            Roles::SingleWriterSingleReader => spec.is_mutator_op(op) == (role == 0),
+            Roles::MultiProcess { .. } => spec.op_owner(op).map_or(true, |owner| owner == role),
+        }
+    }
 }
 
 /// The history-independence guarantee an implementation provides, i.e. at

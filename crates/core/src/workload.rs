@@ -313,26 +313,14 @@ pub fn handle_seed(seed: u64, i: usize) -> u64 {
 /// ```
 pub fn menus_for<S: EnumerableSpec>(spec: &S, roles: Roles) -> Vec<Vec<S::Op>> {
     let all = spec.ops();
-    match roles {
-        Roles::SingleWriterSingleReader => vec![
+    (0..roles.num_handles())
+        .map(|role| {
             all.iter()
-                .filter(|op| spec.is_mutator_op(op))
+                .filter(|op| roles.allows(spec, role, op))
                 .cloned()
-                .collect(),
-            all.iter()
-                .filter(|op| !spec.is_mutator_op(op))
-                .cloned()
-                .collect(),
-        ],
-        Roles::MultiProcess { n } => (0..n)
-            .map(|pid| {
-                all.iter()
-                    .filter(|op| spec.op_owner(op).map_or(true, |owner| owner == pid))
-                    .cloned()
-                    .collect()
-            })
-            .collect(),
-    }
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! `hi-universal` inside Algorithm 5's apply loop.
 
 use hi_core::{HiLevel, Pid, Progress, Roles};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
 use hi_spec::{ObservationModel, SimAudit, SimObject};
 
 use crate::pack::LlscLayout;
@@ -162,7 +162,7 @@ impl LlscOp {
 
     /// Advances the operation by one primitive. Returns the result when the
     /// operation completes.
-    pub fn step(&mut self, layout: &LlscLayout, ctx: &mut MemCtx<'_>) -> Option<LlscResult> {
+    pub fn step(&mut self, layout: &LlscLayout, ctx: &mut impl Cells) -> Option<LlscResult> {
         match self {
             LlscOp::Ll { pid, cell, cur } => match cur.take() {
                 None => {
@@ -310,7 +310,7 @@ impl ProcessHandle<RLlscSpec> for SimRLlscProcess {
         self.pending.is_none()
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RLlscResp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RLlscResp> {
         let op = self.pending.as_mut().expect("step of idle process");
         match op.step(&self.layout, ctx) {
             Some(LlscResult::Val(v)) => {

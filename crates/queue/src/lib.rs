@@ -30,23 +30,23 @@
 //! (empty ⇒ return `Empty`), scan the front slot's `t` bits, retry if the
 //! front moved away mid-scan. Exactly like Algorithm 2's reader, the loop is
 //! lock-free but not wait-free.
-
-pub mod threaded;
+//!
+//! This step machine is the only text of the queue: `hi_api::QueueObject`
+//! runs it on real threads over an [`hi_sim::AtomicMem`] arena, so the
+//! model checker, the fault sweep and the Theorem 20 adversary certify the
+//! code that ships. `Enqueue` of an element outside `1..=t` panics
+//! ("element … out of domain") before any primitive runs.
 
 use hi_core::objects::{BoundedQueueSpec, QueueOp, QueueResp};
 use hi_core::{HiLevel, Pid, Progress, Roles};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
-use hi_spec::{ObservationModel, SimAudit, SimObject};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
+use hi_spec::{Layout, ObservationModel, SimAudit, SimObject};
 
 /// The positional HI queue. pid 0 is the mutator (`Enqueue`/`Dequeue`,
 /// wait-free), pid 1 the observer (`Peek`, lock-free). State-quiescent HI.
 #[derive(Clone, Debug)]
 pub struct PositionalQueue {
     spec: BoundedQueueSpec,
-    /// `slots[s][e-1]` is the cell of `Q[s][e]`.
-    slots: Vec<Vec<CellId>>,
-    /// `len_cells[l]` is the cell of `LEN[l]`.
-    len_cells: Vec<CellId>,
     mem: SharedMem,
 }
 
@@ -55,22 +55,15 @@ impl PositionalQueue {
     pub fn new(t: u32, cap: usize) -> Self {
         let spec = BoundedQueueSpec::new(t, cap);
         let mut mem = SharedMem::new();
-        let slots: Vec<Vec<CellId>> = (0..cap)
-            .map(|s| {
-                (1..=t)
-                    .map(|e| mem.alloc(format!("Q[{s}][{e}]"), CellDomain::Binary, 0))
-                    .collect()
-            })
-            .collect();
-        let len_cells: Vec<CellId> = (0..cap)
-            .map(|l| mem.alloc(format!("LEN[{l}]"), CellDomain::Binary, 0))
-            .collect();
-        PositionalQueue {
-            spec,
-            slots,
-            len_cells,
-            mem,
+        for s in 0..cap {
+            for e in 1..=t {
+                mem.alloc(format!("Q[{s}][{e}]"), CellDomain::Binary, 0);
+            }
         }
+        for l in 0..cap {
+            mem.alloc(format!("LEN[{l}]"), CellDomain::Binary, 0);
+        }
+        PositionalQueue { spec, mem }
     }
 
     /// The canonical memory representation of an abstract queue state.
@@ -136,8 +129,9 @@ enum ReadPc {
 pub struct PositionalQueueProcess {
     t: u32,
     cap: usize,
-    slots: Vec<Vec<CellId>>,
-    len_cells: Vec<CellId>,
+    /// `Q[0][1]`; `Q[s][e]` is `s * t + e - 1` cells on, and `LEN[l]` is
+    /// `cap * t + l` cells on.
+    slots: CellId,
     is_mutator: bool,
     /// Mutator-local mirror of the abstract state (front first).
     mirror: Vec<u32>,
@@ -147,7 +141,11 @@ pub struct PositionalQueueProcess {
 
 impl PositionalQueueProcess {
     fn q(&self, s: usize, e: u32) -> CellId {
-        self.slots[s][(e - 1) as usize]
+        CellId(self.slots.0 + s * self.t as usize + (e - 1) as usize)
+    }
+
+    fn len_cell(&self, l: usize) -> CellId {
+        CellId(self.slots.0 + self.cap * self.t as usize + l)
     }
 
     /// The front-slot element index the reader is about to probe, if it is
@@ -165,6 +163,7 @@ impl ProcessHandle<BoundedQueueSpec> for PositionalQueueProcess {
         assert!(self.is_idle(), "operation already pending");
         match (self.is_mutator, op) {
             (true, QueueOp::Enqueue(v)) => {
+                assert!((1..=self.t).contains(&v), "element {v} out of domain");
                 self.mpc = if self.mirror.len() >= self.cap {
                     MutPc::Trivial {
                         resp: QueueResp::Full,
@@ -194,7 +193,7 @@ impl ProcessHandle<BoundedQueueSpec> for PositionalQueueProcess {
         self.mpc == MutPc::Idle && self.rpc == ReadPc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<QueueResp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<QueueResp> {
         if self.is_mutator {
             self.step_mutator(ctx)
         } else {
@@ -207,8 +206,8 @@ impl ProcessHandle<BoundedQueueSpec> for PositionalQueueProcess {
             match &self.mpc {
                 MutPc::Idle | MutPc::Trivial { .. } => None,
                 MutPc::EnqElem { v } => Some(self.q(self.mirror.len(), *v)),
-                MutPc::EnqLen { .. } => Some(self.len_cells[self.mirror.len()]),
-                MutPc::DeqLen => Some(self.len_cells[self.mirror.len() - 1]),
+                MutPc::EnqLen { .. } => Some(self.len_cell(self.mirror.len())),
+                MutPc::DeqLen => Some(self.len_cell(self.mirror.len() - 1)),
                 MutPc::DeqClearFront => Some(self.q(0, self.mirror[0])),
                 MutPc::DeqMove { s } => Some(self.q(*s - 1, self.mirror[*s])),
                 MutPc::DeqClearOld { s } => Some(self.q(*s, self.mirror[*s])),
@@ -216,7 +215,7 @@ impl ProcessHandle<BoundedQueueSpec> for PositionalQueueProcess {
         } else {
             match &self.rpc {
                 ReadPc::Idle => None,
-                ReadPc::CheckLen => Some(self.len_cells[0]),
+                ReadPc::CheckLen => Some(self.len_cell(0)),
                 ReadPc::ScanFront { e } => Some(self.q(0, *e)),
             }
         }
@@ -224,8 +223,8 @@ impl ProcessHandle<BoundedQueueSpec> for PositionalQueueProcess {
 }
 
 impl PositionalQueueProcess {
-    fn step_mutator(&mut self, ctx: &mut MemCtx<'_>) -> Option<QueueResp> {
-        match self.mpc.clone() {
+    fn step_mutator(&mut self, ctx: &mut impl Cells) -> Option<QueueResp> {
+        match self.mpc {
             MutPc::Idle => panic!("step of idle mutator"),
             MutPc::Trivial { resp } => {
                 self.mpc = MutPc::Idle;
@@ -237,13 +236,13 @@ impl PositionalQueueProcess {
                 None
             }
             MutPc::EnqLen { v } => {
-                ctx.write(self.len_cells[self.mirror.len()], 1);
+                ctx.write(self.len_cell(self.mirror.len()), 1);
                 self.mirror.push(v);
                 self.mpc = MutPc::Idle;
                 Some(QueueResp::Empty)
             }
             MutPc::DeqLen => {
-                ctx.write(self.len_cells[self.mirror.len() - 1], 0);
+                ctx.write(self.len_cell(self.mirror.len() - 1), 0);
                 self.mpc = MutPc::DeqClearFront;
                 None
             }
@@ -282,11 +281,11 @@ impl PositionalQueueProcess {
         }
     }
 
-    fn step_reader(&mut self, ctx: &mut MemCtx<'_>) -> Option<QueueResp> {
-        match self.rpc.clone() {
+    fn step_reader(&mut self, ctx: &mut impl Cells) -> Option<QueueResp> {
+        match self.rpc {
             ReadPc::Idle => panic!("step of idle reader"),
             ReadPc::CheckLen => {
-                if ctx.read(self.len_cells[0]) == 0 {
+                if ctx.read(self.len_cell(0)) == 0 {
                     self.rpc = ReadPc::Idle;
                     Some(QueueResp::Empty)
                 } else {
@@ -303,6 +302,7 @@ impl PositionalQueueProcess {
                     None
                 } else {
                     // Front moved mid-scan: retry (lock-free loop).
+                    ctx.backoff();
                     self.rpc = ReadPc::CheckLen;
                     None
                 }
@@ -331,13 +331,33 @@ impl Implementation<BoundedQueueSpec> for PositionalQueue {
         PositionalQueueProcess {
             t: self.spec.t(),
             cap: self.spec.cap(),
-            slots: self.slots.clone(),
-            len_cells: self.len_cells.clone(),
+            slots: CellId(0),
             is_mutator: pid.0 == 0,
             mirror: Vec::new(),
             mpc: MutPc::Idle,
             rpc: ReadPc::Idle,
         }
+    }
+}
+
+impl Layout<BoundedQueueSpec> for PositionalQueue {
+    fn canonical_image(&self, state: &Vec<u32>) -> Option<Vec<u64>> {
+        Some(self.canonical(state))
+    }
+
+    /// At state-quiescent points `LEN` is a unary prefix and each occupied
+    /// slot holds exactly one element bit.
+    fn state_of(&self, mem: &[u64]) -> Vec<u32> {
+        let t = self.spec.t() as usize;
+        let (q, len) = mem.split_at(self.spec.cap() * t);
+        let occupied = len.iter().take_while(|&&l| l == 1).count();
+        q.chunks(t)
+            .take(occupied)
+            .map(|slot| {
+                let i = slot.iter().position(|&b| b == 1);
+                i.expect("invariant broken: occupied slot with no element bit") as u32 + 1
+            })
+            .collect()
     }
 }
 

@@ -8,15 +8,14 @@
 
 use hi_core::objects::{SetOp, SetResp, SetSpec};
 use hi_core::{HiLevel, Pid, Progress, Roles};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
-use hi_spec::{ObservationModel, SimAudit, SimObject};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
+use hi_spec::{Layout, ObservationModel, SimAudit, SimObject};
 
 /// The §5.1 set: `S[e] = 1` iff `e` is a member. Any process may run any
 /// operation; all operations are single-primitive, wait-free and perfect HI.
 #[derive(Clone, Debug)]
 pub struct HiSet {
     spec: SetSpec,
-    s: Vec<CellId>,
     n: usize,
     mem: SharedMem,
 }
@@ -26,10 +25,10 @@ impl HiSet {
     pub fn new(t: u32, n: usize) -> Self {
         let spec = SetSpec::new(t);
         let mut mem = SharedMem::new();
-        let s: Vec<CellId> = (1..=t)
-            .map(|e| mem.alloc(format!("S[{e}]"), CellDomain::Binary, 0))
-            .collect();
-        HiSet { spec, s, n, mem }
+        for e in 1..=t {
+            mem.alloc(format!("S[{e}]"), CellDomain::Binary, 0);
+        }
+        HiSet { spec, n, mem }
     }
 
     /// The canonical representation of a state (bitmask over bits `1..=t`).
@@ -43,19 +42,23 @@ impl HiSet {
 /// The per-process step machine of [`HiSet`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct HiSetProcess {
-    s: Vec<CellId>,
+    /// `S[1]`; `S[e]` is `e - 1` cells on.
+    s: CellId,
+    t: u32,
     pending: Option<SetOp>,
 }
 
 impl HiSetProcess {
     fn cell(&self, e: u32) -> CellId {
-        self.s[(e - 1) as usize]
+        CellId(self.s.0 + (e - 1) as usize)
     }
 }
 
 impl ProcessHandle<SetSpec> for HiSetProcess {
     fn invoke(&mut self, op: SetOp) {
         assert!(self.pending.is_none(), "operation already pending");
+        let (SetOp::Insert(e) | SetOp::Remove(e) | SetOp::Contains(e)) = op;
+        assert!((1..=self.t).contains(&e), "element {e} out of domain");
         self.pending = Some(op);
     }
 
@@ -63,7 +66,7 @@ impl ProcessHandle<SetSpec> for HiSetProcess {
         self.pending.is_none()
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<SetResp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<SetResp> {
         match self.pending.take().expect("step of idle process") {
             SetOp::Insert(e) => {
                 ctx.write(self.cell(e), 1);
@@ -101,9 +104,20 @@ impl Implementation<SetSpec> for HiSet {
 
     fn make_process(&self, _pid: Pid) -> HiSetProcess {
         HiSetProcess {
-            s: self.s.clone(),
+            s: CellId(0),
+            t: self.spec.t(),
             pending: None,
         }
+    }
+}
+
+impl Layout<SetSpec> for HiSet {
+    fn canonical_image(&self, state: &u64) -> Option<Vec<u64>> {
+        Some(self.canonical(*state))
+    }
+
+    fn state_of(&self, mem: &[u64]) -> u64 {
+        hi_core::cells::mask_of_bits(mem)
     }
 }
 

@@ -10,17 +10,16 @@
 
 use hi_core::objects::{MultiRegisterSpec, RegisterOp, RegisterResp};
 use hi_core::{HiLevel, Pid, Progress, Roles};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
-use hi_spec::{ObservationModel, SimAudit, SimObject};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
+use hi_spec::{Layout, ObservationModel, SimAudit, SimObject};
 
-use crate::Role;
+use crate::{in_range, lowest_set, nth, Role, Scanned, Sweep, TryRead};
 
 /// Algorithms 2+3. pid 0 writes (wait-free), pid 1 reads (lock-free).
 /// State-quiescent HI.
 #[derive(Clone, Debug)]
 pub struct LockFreeHiRegister {
     spec: MultiRegisterSpec,
-    a: Vec<CellId>,
     mem: SharedMem,
 }
 
@@ -30,10 +29,10 @@ impl LockFreeHiRegister {
     pub fn new(k: u64, v0: u64) -> Self {
         let spec = MultiRegisterSpec::new(k, v0);
         let mut mem = SharedMem::new();
-        let a: Vec<CellId> = (1..=k)
-            .map(|v| mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == v0)))
-            .collect();
-        LockFreeHiRegister { spec, a, mem }
+        for v in 1..=k {
+            mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == v0));
+        }
+        LockFreeHiRegister { spec, mem }
     }
 
     /// The canonical memory representation of value `v`: all zeros except
@@ -47,29 +46,14 @@ impl LockFreeHiRegister {
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Pc {
     Idle,
-    /// Line 5: write `A[v] <- 1`.
-    WriteSet {
+    /// Lines 5–7: set `A[v]`, clear below it, then above it.
+    Write {
         v: u64,
+        sweep: Sweep,
     },
-    /// Line 6: clear downwards, `j` from `v-1` to 1.
-    WriteClearDown {
-        v: u64,
-        j: u64,
-    },
-    /// Line 7: clear upwards, `j` from `v+1` to `K`.
-    WriteClearUp {
-        j: u64,
-    },
-    /// Algorithm 3 lines 1–2: scan up; on reaching `K` without a 1, retry
-    /// from index 1 (the lock-free loop of Algorithm 2 lines 2–3).
-    ScanUp {
-        j: u64,
-    },
-    /// Algorithm 3 lines 4–5: scan down keeping the smallest 1.
-    ScanDown {
-        j: u64,
-        val: u64,
-    },
+    /// Algorithm 3's scan of `A`, restarted whenever it returns ⊥ (the
+    /// lock-free loop of Algorithm 2 lines 2–3).
+    Read(TryRead),
 }
 
 /// The per-process step machine of [`LockFreeHiRegister`].
@@ -77,22 +61,20 @@ enum Pc {
 pub struct LockFreeHiProcess {
     role: Role,
     k: u64,
-    a: Vec<CellId>,
+    /// `A[1]`; `A[v]` is `v - 1` cells on.
+    a: CellId,
     pc: Pc,
-}
-
-impl LockFreeHiProcess {
-    fn cell(&self, v: u64) -> CellId {
-        self.a[(v - 1) as usize]
-    }
 }
 
 impl ProcessHandle<MultiRegisterSpec> for LockFreeHiProcess {
     fn invoke(&mut self, op: RegisterOp) {
         assert_eq!(self.pc, Pc::Idle, "operation already pending");
         self.pc = match (self.role, op) {
-            (Role::Writer, RegisterOp::Write(v)) => Pc::WriteSet { v },
-            (Role::Reader, RegisterOp::Read) => Pc::ScanUp { j: 1 },
+            (Role::Writer, RegisterOp::Write(v)) => Pc::Write {
+                v: in_range(v, self.k),
+                sweep: Sweep::Set,
+            },
+            (Role::Reader, RegisterOp::Read) => Pc::Read(TryRead::START),
             (role, op) => panic!("{role:?} cannot invoke {op:?}"),
         };
     }
@@ -101,80 +83,43 @@ impl ProcessHandle<MultiRegisterSpec> for LockFreeHiProcess {
         self.pc == Pc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
-        match self.pc.clone() {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
+        match self.pc {
             Pc::Idle => panic!("step of idle process"),
-            Pc::WriteSet { v } => {
-                ctx.write(self.cell(v), 1);
-                self.pc = if v > 1 {
-                    Pc::WriteClearDown { v, j: v - 1 }
-                } else if v < self.k {
-                    Pc::WriteClearUp { j: v + 1 }
-                } else {
-                    Pc::Idle
-                };
-                (self.pc == Pc::Idle).then_some(RegisterResp::Ack)
-            }
-            Pc::WriteClearDown { v, j } => {
-                ctx.write(self.cell(j), 0);
-                self.pc = if j > 1 {
-                    Pc::WriteClearDown { v, j: j - 1 }
-                } else if v < self.k {
-                    Pc::WriteClearUp { j: v + 1 }
-                } else {
-                    Pc::Idle
-                };
-                (self.pc == Pc::Idle).then_some(RegisterResp::Ack)
-            }
-            Pc::WriteClearUp { j } => {
-                ctx.write(self.cell(j), 0);
-                self.pc = if j < self.k {
-                    Pc::WriteClearUp { j: j + 1 }
-                } else {
-                    Pc::Idle
-                };
-                (self.pc == Pc::Idle).then_some(RegisterResp::Ack)
-            }
-            Pc::ScanUp { j } => {
-                if ctx.read(self.cell(j)) == 1 {
-                    if j == 1 {
-                        self.pc = Pc::Idle;
-                        Some(RegisterResp::Value(1))
-                    } else {
-                        self.pc = Pc::ScanDown { j: j - 1, val: j };
-                        None
-                    }
-                } else {
-                    // TryRead fails at K: restart (lock-free retry).
-                    self.pc = if j < self.k {
-                        Pc::ScanUp { j: j + 1 }
-                    } else {
-                        Pc::ScanUp { j: 1 }
-                    };
+            Pc::Write { v, sweep } => match sweep.step(ctx, self.a, v, self.k, true) {
+                Some(sweep) => {
+                    self.pc = Pc::Write { v, sweep };
                     None
                 }
-            }
-            Pc::ScanDown { j, val } => {
-                let val = if ctx.read(self.cell(j)) == 1 { j } else { val };
-                if j > 1 {
-                    self.pc = Pc::ScanDown { j: j - 1, val };
-                    None
-                } else {
+                None => {
                     self.pc = Pc::Idle;
-                    Some(RegisterResp::Value(val))
+                    Some(RegisterResp::Ack)
                 }
-            }
+            },
+            Pc::Read(scan) => match scan.step(ctx, self.a, self.k) {
+                Scanned::More(next) => {
+                    self.pc = Pc::Read(next);
+                    None
+                }
+                Scanned::Value(v) => {
+                    self.pc = Pc::Idle;
+                    Some(RegisterResp::Value(v))
+                }
+                Scanned::Bottom => {
+                    // TryRead returned ⊥: restart (lock-free retry).
+                    ctx.backoff();
+                    self.pc = Pc::Read(TryRead::START);
+                    None
+                }
+            },
         }
     }
 
     fn peeked_cell(&self) -> Option<CellId> {
         match &self.pc {
             Pc::Idle => None,
-            Pc::WriteSet { v } => Some(self.cell(*v)),
-            Pc::WriteClearDown { j, .. }
-            | Pc::WriteClearUp { j }
-            | Pc::ScanUp { j }
-            | Pc::ScanDown { j, .. } => Some(self.cell(*j)),
+            Pc::Write { v, sweep } => Some(nth(self.a, sweep.j(*v))),
+            Pc::Read(scan) => Some(nth(self.a, scan.j())),
         }
     }
 }
@@ -198,9 +143,19 @@ impl Implementation<MultiRegisterSpec> for LockFreeHiRegister {
         LockFreeHiProcess {
             role: Role::of_pid(pid),
             k: self.spec.k(),
-            a: self.a.clone(),
+            a: CellId(0),
             pc: Pc::Idle,
         }
+    }
+}
+
+impl Layout<MultiRegisterSpec> for LockFreeHiRegister {
+    fn canonical_image(&self, state: &u64) -> Option<Vec<u64>> {
+        Some(self.canonical(*state))
+    }
+
+    fn state_of(&self, mem: &[u64]) -> u64 {
+        lowest_set(&mem[..self.spec.k() as usize])
     }
 }
 

@@ -10,17 +10,16 @@
 
 use hi_core::objects::{MaxRegisterOp, MaxRegisterSpec, RegisterResp};
 use hi_core::{HiLevel, Pid, Progress, Roles};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
-use hi_spec::{ObservationModel, SimAudit, SimObject};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
+use hi_spec::{Layout, ObservationModel, SimAudit, SimObject};
 
-use crate::Role;
+use crate::{in_range, lowest_set, nth, Role, Scanned, Sweep, TryRead};
 
 /// The §5.1 max register. pid 0 writes, pid 1 reads; both wait-free;
 /// state-quiescent HI.
 #[derive(Clone, Debug)]
 pub struct MaxRegister {
     spec: MaxRegisterSpec,
-    a: Vec<CellId>,
     mem: SharedMem,
 }
 
@@ -29,10 +28,10 @@ impl MaxRegister {
     pub fn new(k: u64) -> Self {
         let spec = MaxRegisterSpec::new(k);
         let mut mem = SharedMem::new();
-        let a: Vec<CellId> = (1..=k)
-            .map(|v| mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == 1)))
-            .collect();
-        MaxRegister { spec, a, mem }
+        for v in 1..=k {
+            mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == 1));
+        }
+        MaxRegister { spec, mem }
     }
 
     /// The canonical memory representation of maximum `m`.
@@ -45,23 +44,14 @@ impl MaxRegister {
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Pc {
     Idle,
-    /// Write `A[v] <- 1` (only reached when `v` exceeds the local maximum).
-    WriteSet {
+    /// Set `A[v]`, clear below it (only reached when `v` exceeds the local
+    /// maximum).
+    Write {
         v: u64,
+        sweep: Sweep,
     },
-    /// Clear `A[j] <- 0`, descending.
-    WriteClear {
-        j: u64,
-    },
-    /// Scan up for the first 1.
-    ScanUp {
-        j: u64,
-    },
-    /// Scan down keeping the smallest 1 (as in Algorithm 1's reader).
-    ScanDown {
-        j: u64,
-        val: u64,
-    },
+    /// The two-pass scan of `A`, as in Algorithm 1's reader.
+    Read(TryRead),
 }
 
 /// The per-process step machine of [`MaxRegister`].
@@ -69,7 +59,8 @@ enum Pc {
 pub struct MaxRegisterProcess {
     role: Role,
     k: u64,
-    a: Vec<CellId>,
+    /// `A[1]`; `A[v]` is `v - 1` cells on.
+    a: CellId,
     /// Writer-local maximum written so far.
     local_max: u64,
     pc: Pc,
@@ -78,24 +69,21 @@ pub struct MaxRegisterProcess {
     trivial_ack: bool,
 }
 
-impl MaxRegisterProcess {
-    fn cell(&self, v: u64) -> CellId {
-        self.a[(v - 1) as usize]
-    }
-}
-
 impl ProcessHandle<MaxRegisterSpec> for MaxRegisterProcess {
     fn invoke(&mut self, op: MaxRegisterOp) {
         assert!(self.is_idle(), "operation already pending");
         match (self.role, op) {
             (Role::Writer, MaxRegisterOp::WriteMax(v)) => {
-                if v > self.local_max {
-                    self.pc = Pc::WriteSet { v };
+                if in_range(v, self.k) > self.local_max {
+                    self.pc = Pc::Write {
+                        v,
+                        sweep: Sweep::Set,
+                    };
                 } else {
                     self.trivial_ack = true;
                 }
             }
-            (Role::Reader, MaxRegisterOp::ReadMax) => self.pc = Pc::ScanUp { j: 1 },
+            (Role::Reader, MaxRegisterOp::ReadMax) => self.pc = Pc::Read(TryRead::START),
             (role, op) => panic!("{role:?} cannot invoke {op:?}"),
         }
     }
@@ -104,67 +92,47 @@ impl ProcessHandle<MaxRegisterSpec> for MaxRegisterProcess {
         self.pc == Pc::Idle && !self.trivial_ack
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
         if self.trivial_ack {
             self.trivial_ack = false;
             return Some(RegisterResp::Ack);
         }
-        match self.pc.clone() {
+        match self.pc {
             Pc::Idle => panic!("step of idle process"),
-            Pc::WriteSet { v } => {
-                ctx.write(self.cell(v), 1);
-                self.local_max = v;
-                if v > 1 {
-                    self.pc = Pc::WriteClear { j: v - 1 };
-                    None
-                } else {
-                    self.pc = Pc::Idle;
-                    Some(RegisterResp::Ack)
+            Pc::Write { v, sweep } => {
+                if sweep == Sweep::Set {
+                    self.local_max = v;
                 }
-            }
-            Pc::WriteClear { j } => {
-                ctx.write(self.cell(j), 0);
-                if j > 1 {
-                    self.pc = Pc::WriteClear { j: j - 1 };
-                    None
-                } else {
-                    self.pc = Pc::Idle;
-                    Some(RegisterResp::Ack)
-                }
-            }
-            Pc::ScanUp { j } => {
-                if ctx.read(self.cell(j)) == 1 {
-                    if j == 1 {
-                        self.pc = Pc::Idle;
-                        Some(RegisterResp::Value(1))
-                    } else {
-                        self.pc = Pc::ScanDown { j: j - 1, val: j };
+                match sweep.step(ctx, self.a, v, self.k, false) {
+                    Some(sweep) => {
+                        self.pc = Pc::Write { v, sweep };
                         None
                     }
-                } else {
-                    assert!(j < self.k, "max register invariant broken: no 1 in A");
-                    self.pc = Pc::ScanUp { j: j + 1 };
-                    None
+                    None => {
+                        self.pc = Pc::Idle;
+                        Some(RegisterResp::Ack)
+                    }
                 }
             }
-            Pc::ScanDown { j, val } => {
-                let val = if ctx.read(self.cell(j)) == 1 { j } else { val };
-                if j > 1 {
-                    self.pc = Pc::ScanDown { j: j - 1, val };
+            Pc::Read(scan) => match scan.step(ctx, self.a, self.k) {
+                Scanned::More(next) => {
+                    self.pc = Pc::Read(next);
                     None
-                } else {
+                }
+                Scanned::Value(v) => {
                     self.pc = Pc::Idle;
-                    Some(RegisterResp::Value(val))
+                    Some(RegisterResp::Value(v))
                 }
-            }
+                Scanned::Bottom => panic!("max register invariant broken: no 1 in A"),
+            },
         }
     }
 
     fn peeked_cell(&self) -> Option<CellId> {
         match &self.pc {
             Pc::Idle => None,
-            Pc::WriteSet { v } => Some(self.cell(*v)),
-            Pc::WriteClear { j } | Pc::ScanUp { j } | Pc::ScanDown { j, .. } => Some(self.cell(*j)),
+            Pc::Write { v, sweep } => Some(nth(self.a, sweep.j(*v))),
+            Pc::Read(scan) => Some(nth(self.a, scan.j())),
         }
     }
 }
@@ -188,11 +156,21 @@ impl Implementation<MaxRegisterSpec> for MaxRegister {
         MaxRegisterProcess {
             role: Role::of_pid(pid),
             k: self.spec.k(),
-            a: self.a.clone(),
+            a: CellId(0),
             local_max: 1,
             pc: Pc::Idle,
             trivial_ack: false,
         }
+    }
+}
+
+impl Layout<MaxRegisterSpec> for MaxRegister {
+    fn canonical_image(&self, state: &u64) -> Option<Vec<u64>> {
+        Some(self.canonical(*state))
+    }
+
+    fn state_of(&self, mem: &[u64]) -> u64 {
+        lowest_set(&mem[..self.spec.k() as usize])
     }
 }
 

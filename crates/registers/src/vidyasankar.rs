@@ -9,16 +9,15 @@
 
 use hi_core::objects::{MultiRegisterSpec, RegisterOp, RegisterResp};
 use hi_core::{HiLevel, Pid, Progress, Roles};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
-use hi_spec::{SimAudit, SimObject};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
+use hi_spec::{Layout, SimAudit, SimObject};
 
-use crate::Role;
+use crate::{in_range, lowest_set, nth, Role, Scanned, Sweep, TryRead};
 
 /// Algorithm 1. pid 0 writes, pid 1 reads. Wait-free, linearizable, not HI.
 #[derive(Clone, Debug)]
 pub struct VidyasankarRegister {
     spec: MultiRegisterSpec,
-    a: Vec<CellId>,
     mem: SharedMem,
 }
 
@@ -28,10 +27,10 @@ impl VidyasankarRegister {
     pub fn new(k: u64, v0: u64) -> Self {
         let spec = MultiRegisterSpec::new(k, v0);
         let mut mem = SharedMem::new();
-        let a: Vec<CellId> = (1..=k)
-            .map(|v| mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == v0)))
-            .collect();
-        VidyasankarRegister { spec, a, mem }
+        for v in 1..=k {
+            mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == v0));
+        }
+        VidyasankarRegister { spec, mem }
     }
 }
 
@@ -39,23 +38,13 @@ impl VidyasankarRegister {
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Pc {
     Idle,
-    /// Line 7: write `A[v] <- 1`.
-    WriteSet {
+    /// Lines 7–8: set `A[v]`, clear below it.
+    Write {
         v: u64,
+        sweep: Sweep,
     },
-    /// Line 8: write `A[j] <- 0`, `j` descending to 1.
-    WriteClear {
-        j: u64,
-    },
-    /// Lines 1–2: scan up for the first `A[j] = 1`.
-    ScanUp {
-        j: u64,
-    },
-    /// Lines 4–5: scan down from `val - 1`, keeping the smallest 1.
-    ScanDown {
-        j: u64,
-        val: u64,
-    },
+    /// Lines 1–5: the two-pass scan of `A`.
+    Read(TryRead),
 }
 
 /// The per-process step machine of [`VidyasankarRegister`].
@@ -63,22 +52,20 @@ enum Pc {
 pub struct VidyasankarProcess {
     role: Role,
     k: u64,
-    a: Vec<CellId>,
+    /// `A[1]`; `A[v]` is `v - 1` cells on.
+    a: CellId,
     pc: Pc,
-}
-
-impl VidyasankarProcess {
-    fn cell(&self, v: u64) -> CellId {
-        self.a[(v - 1) as usize]
-    }
 }
 
 impl ProcessHandle<MultiRegisterSpec> for VidyasankarProcess {
     fn invoke(&mut self, op: RegisterOp) {
         assert_eq!(self.pc, Pc::Idle, "operation already pending");
         self.pc = match (self.role, op) {
-            (Role::Writer, RegisterOp::Write(v)) => Pc::WriteSet { v },
-            (Role::Reader, RegisterOp::Read) => Pc::ScanUp { j: 1 },
+            (Role::Writer, RegisterOp::Write(v)) => Pc::Write {
+                v: in_range(v, self.k),
+                sweep: Sweep::Set,
+            },
+            (Role::Reader, RegisterOp::Read) => Pc::Read(TryRead::START),
             (role, op) => panic!("{role:?} cannot invoke {op:?}"),
         };
     }
@@ -87,62 +74,38 @@ impl ProcessHandle<MultiRegisterSpec> for VidyasankarProcess {
         self.pc == Pc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
-        match self.pc.clone() {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
+        match self.pc {
             Pc::Idle => panic!("step of idle process"),
-            Pc::WriteSet { v } => {
-                ctx.write(self.cell(v), 1);
-                if v > 1 {
-                    self.pc = Pc::WriteClear { j: v - 1 };
+            Pc::Write { v, sweep } => match sweep.step(ctx, self.a, v, self.k, false) {
+                Some(sweep) => {
+                    self.pc = Pc::Write { v, sweep };
                     None
-                } else {
+                }
+                None => {
                     self.pc = Pc::Idle;
                     Some(RegisterResp::Ack)
                 }
-            }
-            Pc::WriteClear { j } => {
-                ctx.write(self.cell(j), 0);
-                if j > 1 {
-                    self.pc = Pc::WriteClear { j: j - 1 };
+            },
+            Pc::Read(scan) => match scan.step(ctx, self.a, self.k) {
+                Scanned::More(next) => {
+                    self.pc = Pc::Read(next);
                     None
-                } else {
+                }
+                Scanned::Value(v) => {
                     self.pc = Pc::Idle;
-                    Some(RegisterResp::Ack)
+                    Some(RegisterResp::Value(v))
                 }
-            }
-            Pc::ScanUp { j } => {
-                if ctx.read(self.cell(j)) == 1 {
-                    if j == 1 {
-                        self.pc = Pc::Idle;
-                        Some(RegisterResp::Value(1))
-                    } else {
-                        self.pc = Pc::ScanDown { j: j - 1, val: j };
-                        None
-                    }
-                } else {
-                    assert!(j < self.k, "Algorithm 1 invariant broken: no 1 in A");
-                    self.pc = Pc::ScanUp { j: j + 1 };
-                    None
-                }
-            }
-            Pc::ScanDown { j, val } => {
-                let val = if ctx.read(self.cell(j)) == 1 { j } else { val };
-                if j > 1 {
-                    self.pc = Pc::ScanDown { j: j - 1, val };
-                    None
-                } else {
-                    self.pc = Pc::Idle;
-                    Some(RegisterResp::Value(val))
-                }
-            }
+                Scanned::Bottom => panic!("Algorithm 1 invariant broken: no 1 in A"),
+            },
         }
     }
 
     fn peeked_cell(&self) -> Option<CellId> {
         match &self.pc {
             Pc::Idle => None,
-            Pc::WriteSet { v } => Some(self.cell(*v)),
-            Pc::WriteClear { j } | Pc::ScanUp { j } | Pc::ScanDown { j, .. } => Some(self.cell(*j)),
+            Pc::Write { v, sweep } => Some(nth(self.a, sweep.j(*v))),
+            Pc::Read(scan) => Some(nth(self.a, scan.j())),
         }
     }
 }
@@ -166,9 +129,20 @@ impl Implementation<MultiRegisterSpec> for VidyasankarRegister {
         VidyasankarProcess {
             role: Role::of_pid(pid),
             k: self.spec.k(),
-            a: self.a.clone(),
+            a: CellId(0),
             pc: Pc::Idle,
         }
+    }
+}
+
+impl Layout<MultiRegisterSpec> for VidyasankarRegister {
+    fn canonical_image(&self, _state: &u64) -> Option<Vec<u64>> {
+        None // Algorithm 1 leaks history; there is no canonical form.
+    }
+
+    /// The smallest set index of `A`: what a solo `Read` returns.
+    fn state_of(&self, mem: &[u64]) -> u64 {
+        lowest_set(&mem[..self.spec.k() as usize])
     }
 }
 

@@ -12,17 +12,15 @@
 
 use hi_core::objects::{MultiRegisterSpec, RegisterOp, RegisterResp};
 use hi_core::{HiLevel, Pid, Progress, Roles};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
-use hi_spec::{ObservationModel, SimAudit, SimObject};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
+use hi_spec::{Layout, ObservationModel, SimAudit, SimObject};
 
-use crate::Role;
+use crate::{in_range, lowest_set, nth, Role, Scanned, Sweep, TryRead};
 
 /// Algorithm 4. pid 0 writes, pid 1 reads; both wait-free. Quiescent HI.
 #[derive(Clone, Debug)]
 pub struct WaitFreeHiRegister {
     spec: MultiRegisterSpec,
-    a: Vec<CellId>,
-    b: Vec<CellId>,
     flag1: CellId,
     flag2: CellId,
     mem: SharedMem,
@@ -35,18 +33,16 @@ impl WaitFreeHiRegister {
     pub fn new(k: u64, v0: u64) -> Self {
         let spec = MultiRegisterSpec::new(k, v0);
         let mut mem = SharedMem::new();
-        let a: Vec<CellId> = (1..=k)
-            .map(|v| mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == v0)))
-            .collect();
-        let b: Vec<CellId> = (1..=k)
-            .map(|v| mem.alloc(format!("B[{v}]"), CellDomain::Binary, 0))
-            .collect();
+        for v in 1..=k {
+            mem.alloc(format!("A[{v}]"), CellDomain::Binary, u64::from(v == v0));
+        }
+        for v in 1..=k {
+            mem.alloc(format!("B[{v}]"), CellDomain::Binary, 0);
+        }
         let flag1 = mem.alloc("flag[1]", CellDomain::Binary, 0);
         let flag2 = mem.alloc("flag[2]", CellDomain::Binary, 0);
         WaitFreeHiRegister {
             spec,
-            a,
-            b,
             flag1,
             flag2,
             mem,
@@ -92,20 +88,21 @@ enum WPc {
     ClearB {
         v: u64,
     },
-    /// Line 16: write `A[v] <- 1`.
+    /// Lines 16–18: set `A[v]`, clear below it, then above it.
     WriteA {
         v: u64,
+        sweep: Sweep,
     },
-    /// Line 17: clear `A` downwards.
-    ClearDown {
-        v: u64,
-        j: u64,
-    },
-    /// Line 18: clear `A` upwards.
-    ClearUp {
-        v: u64,
-        j: u64,
-    },
+}
+
+impl WPc {
+    /// Line 16, the sweep of `A` for `Write(v)` about to start.
+    fn write_a(v: u64) -> WPc {
+        WPc::WriteA {
+            v,
+            sweep: Sweep::Set,
+        }
+    }
 }
 
 /// Reader program counter (Algorithm 4 lines 1–10; `TryRead` is Algorithm 3).
@@ -114,16 +111,10 @@ enum RPc {
     Idle,
     /// Line 1: write `flag[1] <- 1`.
     SetFlag1,
-    /// Algorithm 3 scan up, in attempt `it` (1 or 2).
-    TryUp {
+    /// Lines 2–4: Algorithm 3's scan of `A`, in attempt `it` (1 or 2).
+    Try {
         it: u8,
-        j: u64,
-    },
-    /// Algorithm 3 scan down.
-    TryDown {
-        it: u8,
-        j: u64,
-        val: u64,
+        scan: TryRead,
     },
     /// Lines 5–6: scan `B` keeping the *largest* index read as 1.
     ScanB {
@@ -154,8 +145,9 @@ enum RPc {
 pub struct WaitFreeHiProcess {
     role: Role,
     k: u64,
-    a: Vec<CellId>,
-    b: Vec<CellId>,
+    /// `A[1]` and `B[1]`; `A[v]` and `B[v]` are `v - 1` cells on.
+    a: CellId,
+    b: CellId,
     flag1: CellId,
     flag2: CellId,
     /// Writer-local `last-val` (persists across operations; not in `mem(C)`).
@@ -165,21 +157,13 @@ pub struct WaitFreeHiProcess {
 }
 
 impl WaitFreeHiProcess {
-    fn a(&self, v: u64) -> CellId {
-        self.a[(v - 1) as usize]
-    }
-
-    fn b(&self, v: u64) -> CellId {
-        self.b[(v - 1) as usize]
-    }
-
-    fn step_writer(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
-        match self.wpc.clone() {
+    fn step_writer(&mut self, ctx: &mut impl Cells) -> Option<RegisterResp> {
+        match self.wpc {
             WPc::Idle => panic!("step of idle writer"),
             WPc::CheckB { v, j } => {
-                if ctx.read(self.b(j)) == 1 {
+                if ctx.read(nth(self.b, j)) == 1 {
                     // B is non-empty: skip the helping block entirely.
-                    self.wpc = WPc::WriteA { v };
+                    self.wpc = WPc::write_a(v);
                 } else if j < self.k {
                     self.wpc = WPc::CheckB { v, j: j + 1 };
                 } else {
@@ -191,12 +175,12 @@ impl WaitFreeHiProcess {
                 self.wpc = if ctx.read(self.flag1) == 1 {
                     WPc::WriteB { v }
                 } else {
-                    WPc::WriteA { v }
+                    WPc::write_a(v)
                 };
                 None
             }
             WPc::WriteB { v } => {
-                ctx.write(self.b(self.last_val), 1);
+                ctx.write(nth(self.b, self.last_val), 1);
                 self.wpc = WPc::ReadFlag2 { v };
                 None
             }
@@ -214,99 +198,58 @@ impl WaitFreeHiProcess {
                 } else {
                     // The reader is still present and not done with B: leave
                     // the help in place.
-                    WPc::WriteA { v }
+                    WPc::write_a(v)
                 };
                 None
             }
             WPc::ClearB { v } => {
-                ctx.write(self.b(self.last_val), 0);
-                self.wpc = WPc::WriteA { v };
+                ctx.write(nth(self.b, self.last_val), 0);
+                self.wpc = WPc::write_a(v);
                 None
             }
-            WPc::WriteA { v } => {
-                ctx.write(self.a(v), 1);
-                self.wpc = if v > 1 {
-                    WPc::ClearDown { v, j: v - 1 }
-                } else if v < self.k {
-                    WPc::ClearUp { v, j: v + 1 }
-                } else {
-                    WPc::Idle
-                };
-                self.finish_write(v)
-            }
-            WPc::ClearDown { v, j } => {
-                ctx.write(self.a(j), 0);
-                self.wpc = if j > 1 {
-                    WPc::ClearDown { v, j: j - 1 }
-                } else if v < self.k {
-                    WPc::ClearUp { v, j: v + 1 }
-                } else {
-                    WPc::Idle
-                };
-                self.finish_write(v)
-            }
-            WPc::ClearUp { v, j } => {
-                ctx.write(self.a(j), 0);
-                self.wpc = if j < self.k {
-                    WPc::ClearUp { v, j: j + 1 }
-                } else {
-                    WPc::Idle
-                };
-                self.finish_write(v)
+            WPc::WriteA { v, sweep } => {
+                match sweep.step(ctx, self.a, v, self.k, true) {
+                    Some(sweep) => {
+                        self.wpc = WPc::WriteA { v, sweep };
+                        None
+                    }
+                    None => {
+                        self.wpc = WPc::Idle;
+                        self.last_val = v; // line 19
+                        Some(RegisterResp::Ack)
+                    }
+                }
             }
         }
     }
 
-    fn finish_write(&mut self, v: u64) -> Option<RegisterResp> {
-        if self.wpc == WPc::Idle {
-            self.last_val = v; // line 19
-            Some(RegisterResp::Ack)
-        } else {
-            None
-        }
-    }
-
-    fn step_reader(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
-        match self.rpc.clone() {
+    fn step_reader(&mut self, ctx: &mut impl Cells) -> Option<RegisterResp> {
+        match self.rpc {
             RPc::Idle => panic!("step of idle reader"),
             RPc::SetFlag1 => {
                 ctx.write(self.flag1, 1);
-                self.rpc = RPc::TryUp { it: 1, j: 1 };
+                self.rpc = RPc::Try {
+                    it: 1,
+                    scan: TryRead::START,
+                };
                 None
             }
-            RPc::TryUp { it, j } => {
-                if ctx.read(self.a(j)) == 1 {
-                    self.rpc = if j == 1 {
-                        RPc::SetFlag2 { val: 1 }
-                    } else {
-                        RPc::TryDown {
-                            it,
-                            j: j - 1,
-                            val: j,
-                        }
-                    };
-                } else if j < self.k {
-                    self.rpc = RPc::TryUp { it, j: j + 1 };
-                } else if it == 1 {
+            RPc::Try { it, scan } => {
+                self.rpc = match scan.step(ctx, self.a, self.k) {
+                    Scanned::More(scan) => RPc::Try { it, scan },
+                    Scanned::Value(val) => RPc::SetFlag2 { val },
                     // First TryRead returned ⊥: second attempt (line 2).
-                    self.rpc = RPc::TryUp { it: 2, j: 1 };
-                } else {
+                    Scanned::Bottom if it == 1 => RPc::Try {
+                        it: 2,
+                        scan: TryRead::START,
+                    },
                     // Second ⊥: fall back to B (lines 5–6).
-                    self.rpc = RPc::ScanB { j: 1, val: None };
-                }
-                None
-            }
-            RPc::TryDown { it, j, val } => {
-                let val = if ctx.read(self.a(j)) == 1 { j } else { val };
-                self.rpc = if j > 1 {
-                    RPc::TryDown { it, j: j - 1, val }
-                } else {
-                    RPc::SetFlag2 { val }
+                    Scanned::Bottom => RPc::ScanB { j: 1, val: None },
                 };
                 None
             }
             RPc::ScanB { j, val } => {
-                let val = if ctx.read(self.b(j)) == 1 {
+                let val = if ctx.read(nth(self.b, j)) == 1 {
                     Some(j)
                 } else {
                     val
@@ -328,7 +271,7 @@ impl WaitFreeHiProcess {
                 None
             }
             RPc::ClearB { val, j } => {
-                ctx.write(self.b(j), 0);
+                ctx.write(nth(self.b, j), 0);
                 self.rpc = if j < self.k {
                     RPc::ClearB { val, j: j + 1 }
                 } else {
@@ -354,7 +297,12 @@ impl ProcessHandle<MultiRegisterSpec> for WaitFreeHiProcess {
     fn invoke(&mut self, op: RegisterOp) {
         assert!(self.is_idle(), "operation already pending");
         match (self.role, op) {
-            (Role::Writer, RegisterOp::Write(v)) => self.wpc = WPc::CheckB { v, j: 1 },
+            (Role::Writer, RegisterOp::Write(v)) => {
+                self.wpc = WPc::CheckB {
+                    v: in_range(v, self.k),
+                    j: 1,
+                }
+            }
             (Role::Reader, RegisterOp::Read) => self.rpc = RPc::SetFlag1,
             (role, op) => panic!("{role:?} cannot invoke {op:?}"),
         }
@@ -364,7 +312,7 @@ impl ProcessHandle<MultiRegisterSpec> for WaitFreeHiProcess {
         self.wpc == WPc::Idle && self.rpc == RPc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
         match self.role {
             Role::Writer => self.step_writer(ctx),
             Role::Reader => self.step_reader(ctx),
@@ -375,19 +323,18 @@ impl ProcessHandle<MultiRegisterSpec> for WaitFreeHiProcess {
         match self.role {
             Role::Writer => match &self.wpc {
                 WPc::Idle => None,
-                WPc::CheckB { j, .. } => Some(self.b(*j)),
+                WPc::CheckB { j, .. } => Some(nth(self.b, *j)),
                 WPc::ReadFlag1 { .. } | WPc::ReadFlag1Again { .. } => Some(self.flag1),
                 WPc::ReadFlag2 { .. } => Some(self.flag2),
-                WPc::WriteB { .. } | WPc::ClearB { .. } => Some(self.b(self.last_val)),
-                WPc::WriteA { v } => Some(self.a(*v)),
-                WPc::ClearDown { j, .. } | WPc::ClearUp { j, .. } => Some(self.a(*j)),
+                WPc::WriteB { .. } | WPc::ClearB { .. } => Some(nth(self.b, self.last_val)),
+                WPc::WriteA { v, sweep } => Some(nth(self.a, sweep.j(*v))),
             },
             Role::Reader => match &self.rpc {
                 RPc::Idle => None,
                 RPc::SetFlag1 | RPc::ClearFlag1 { .. } => Some(self.flag1),
                 RPc::SetFlag2 { .. } | RPc::ClearFlag2 { .. } => Some(self.flag2),
-                RPc::TryUp { j, .. } | RPc::TryDown { j, .. } => Some(self.a(*j)),
-                RPc::ScanB { j, .. } | RPc::ClearB { j, .. } => Some(self.b(*j)),
+                RPc::Try { scan, .. } => Some(nth(self.a, scan.j())),
+                RPc::ScanB { j, .. } | RPc::ClearB { j, .. } => Some(nth(self.b, *j)),
             },
         }
     }
@@ -412,14 +359,24 @@ impl Implementation<MultiRegisterSpec> for WaitFreeHiRegister {
         WaitFreeHiProcess {
             role: Role::of_pid(pid),
             k: self.spec.k(),
-            a: self.a.clone(),
-            b: self.b.clone(),
+            a: CellId(0),
+            b: CellId(self.spec.k() as usize),
             flag1: self.flag1,
             flag2: self.flag2,
             last_val: self.spec.initial_value(),
             wpc: WPc::Idle,
             rpc: RPc::Idle,
         }
+    }
+}
+
+impl Layout<MultiRegisterSpec> for WaitFreeHiRegister {
+    fn canonical_image(&self, state: &u64) -> Option<Vec<u64>> {
+        Some(self.canonical(*state))
+    }
+
+    fn state_of(&self, mem: &[u64]) -> u64 {
+        lowest_set(&mem[..self.spec.k() as usize])
     }
 }
 

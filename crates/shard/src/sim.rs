@@ -30,7 +30,7 @@
 use hi_core::objects::{HashSetOp, HashSetResp, HashSetSpec};
 use hi_core::{HiLevel, Pid, Progress, Roles};
 use hi_hashtable::{canonical_layout, incumbent_wins, slot_of};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
 use hi_spec::{CanonicalView, ObservationModel, SimAudit, SimObject};
 
 use crate::resize::rewrite_plan;
@@ -273,7 +273,7 @@ impl ProcessHandle<HashSetSpec> for SimShardedTableProcess {
         self.pc == Pc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<HashSetResp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<HashSetResp> {
         match self.pc.clone() {
             Pc::Idle => panic!("step of idle process"),
             Pc::AcquireRead { op } => {

@@ -6,7 +6,7 @@ use hi_core::Pid;
 
 use crate::exec::{Executor, RunError};
 use crate::mem::{CellDomain, CellId, SharedMem};
-use crate::process::{Implementation, MemCtx, ProcessHandle};
+use crate::process::{Cells, Implementation, ProcessHandle};
 use crate::runner::{run_workload, Workload};
 use crate::sched::{RoundRobin, Scripted, Seeded};
 
@@ -63,7 +63,7 @@ impl ProcessHandle<MultiRegisterSpec> for TwoStepProcess {
         self.pc == Pc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
         match self.pc.clone() {
             Pc::Idle => panic!("step of idle process"),
             Pc::Stage(v) => {

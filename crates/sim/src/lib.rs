@@ -14,6 +14,10 @@
 //! * [`ProcessHandle`] / [`Implementation`] — algorithm code as resumable
 //!   *step machines*: each call to [`ProcessHandle::step`] performs at most
 //!   one primitive (enforced by [`MemCtx`]).
+//! * [`Cells`] / [`AtomicMem`] — the primitives a step machine is written
+//!   against, and the atomic arena (one byte per cell) that runs the same
+//!   machine on real threads (the register, set and queue families ship
+//!   this way).
 //! * [`Executor`] — drives processes step by step, records the induced
 //!   [`History`], tracks quiescence and state-quiescence,
 //!   and can snapshot `mem(C)` at any configuration. Executors are `Clone`,
@@ -28,7 +32,7 @@
 //! ```
 //! use hi_core::objects::{MultiRegisterSpec, RegisterOp, RegisterResp};
 //! use hi_sim::{
-//!     CellDomain, CellId, Executor, Implementation, MemCtx, Pid, ProcessHandle, SharedMem,
+//!     CellDomain, CellId, Cells, Executor, Implementation, Pid, ProcessHandle, SharedMem,
 //! };
 //!
 //! // One big cell holding the whole value: trivially history independent.
@@ -53,11 +57,11 @@
 //!     fn is_idle(&self) -> bool {
 //!         self.pending.is_none()
 //!     }
-//!     fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
+//!     fn step<C: Cells>(&mut self, mem: &mut C) -> Option<RegisterResp> {
 //!         match self.pending.take().expect("no pending op") {
-//!             RegisterOp::Read => Some(RegisterResp::Value(ctx.read(self.cell))),
+//!             RegisterOp::Read => Some(RegisterResp::Value(mem.read(self.cell))),
 //!             RegisterOp::Write(v) => {
-//!                 ctx.write(self.cell, v);
+//!                 mem.write(self.cell, v);
 //!                 Some(RegisterResp::Ack)
 //!             }
 //!         }
@@ -89,6 +93,7 @@
 //! );
 //! ```
 
+pub mod atomic;
 pub mod exec;
 #[cfg(test)]
 mod exec_tests;
@@ -99,11 +104,12 @@ pub mod runner;
 pub mod sched;
 pub mod trace;
 
+pub use atomic::AtomicMem;
 pub use exec::{Executor, RunError};
 pub use hi_core::{History, OpId, Pid};
 pub use lanes::render_lanes;
 pub use mem::{CellDomain, CellId, CellInfo, MemSnapshot, SharedMem};
-pub use process::{AccessKind, Footprint, Implementation, MemCtx, ProcessHandle};
+pub use process::{AccessKind, Cells, Footprint, Implementation, MemCtx, ProcessHandle};
 pub use runner::{run_workload, run_workload_with_faults, StepObserver, Workload};
 pub use sched::{Fault, FaultPlan, Faulty, RoundRobin, Scheduler, Scripted, Seeded};
 pub use trace::{PrimKind, Trace, TraceEvent};

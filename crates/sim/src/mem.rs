@@ -33,6 +33,7 @@ pub enum CellDomain {
 
 impl CellDomain {
     /// The number of states, if bounded.
+    #[inline]
     pub fn states(&self) -> Option<u64> {
         match self {
             CellDomain::Binary => Some(2),
@@ -42,6 +43,7 @@ impl CellDomain {
     }
 
     /// Whether `value` is legal for this domain.
+    #[inline]
     pub fn contains(&self, value: u64) -> bool {
         match self.states() {
             Some(s) => value < s,
@@ -144,11 +146,7 @@ impl SharedMem {
     ///
     /// Panics if `value` is outside the cell's declared domain.
     pub fn write(&mut self, cell: CellId, value: u64) {
-        assert!(
-            self.info[cell.0].domain.contains(value),
-            "write of {value} outside domain of {}",
-            self.info[cell.0].name
-        );
+        self.assert_in_domain(cell, value, "write of");
         self.cells[cell.0] = value;
     }
 
@@ -159,17 +157,25 @@ impl SharedMem {
     ///
     /// Panics if `new` is outside the cell's declared domain.
     pub fn cas(&mut self, cell: CellId, expected: u64, new: u64) -> bool {
-        assert!(
-            self.info[cell.0].domain.contains(new),
-            "CAS to {new} outside domain of {}",
-            self.info[cell.0].name
-        );
+        self.assert_in_domain(cell, new, "CAS to");
         if self.cells[cell.0] == expected {
             self.cells[cell.0] = new;
             true
         } else {
             false
         }
+    }
+
+    /// The domain check of [`write`](SharedMem::write) and
+    /// [`cas`](SharedMem::cas), shared with [`AtomicMem`](crate::AtomicMem).
+    #[inline]
+    pub(crate) fn assert_in_domain(&self, cell: CellId, value: u64, prim: &str) {
+        let info = &self.info[cell.0];
+        assert!(
+            info.domain.contains(value),
+            "{prim} {value} outside domain of {}",
+            info.name
+        );
     }
 
     /// The memory representation `mem(C)` of the current configuration.

@@ -33,10 +33,9 @@ pub struct Footprint {
     pub kind: AccessKind,
 }
 
-/// A step context handed to [`ProcessHandle::step`]. It wraps the shared
-/// memory and enforces the model's "one primitive per step" rule: at most
-/// one of [`read`](MemCtx::read), [`write`](MemCtx::write) or
-/// [`cas`](MemCtx::cas) may be called per step.
+/// The simulator's step context handed to [`ProcessHandle::step`]. It wraps
+/// the shared memory and enforces the model's "one primitive per step" rule:
+/// at most one [`Cells`] primitive may be called per step.
 ///
 /// All primitives are recorded in the executor's [`Trace`] when tracing is
 /// enabled, and the step's [`Footprint`] is exposed to the executor for
@@ -94,9 +93,44 @@ impl<'a> MemCtx<'a> {
             trace.record(self.step, self.pid, cell, kind, value);
         }
     }
+}
 
+/// The three primitives a step machine may apply to a base object.
+///
+/// A step machine is written once against this trait and runs in both
+/// worlds: on [`MemCtx`] in the simulator, which allows one primitive per
+/// step and records footprints and traces, and on
+/// [`&AtomicMem`](crate::AtomicMem) on real threads, where each primitive
+/// is one sequentially consistent atomic instruction.
+pub trait Cells {
     /// Primitive read of a base object.
-    pub fn read(&mut self, cell: CellId) -> u64 {
+    fn read(&mut self, cell: CellId) -> u64;
+
+    /// Primitive write of a base object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is outside the cell's declared domain.
+    fn write(&mut self, cell: CellId, value: u64);
+
+    /// Primitive compare-and-swap: if the cell holds `expected`, replace it
+    /// with `new` and return `true`; otherwise return `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new` is outside the cell's declared domain.
+    fn cas(&mut self, cell: CellId, expected: u64, new: u64) -> bool;
+
+    /// Not a primitive: the machine has abandoned an attempt and starts it
+    /// over (a lock-free retry loop). The simulator ignores it; on real
+    /// threads it is a spin-loop hint, so a spinning reader yields
+    /// pipeline resources to the writer it waits on.
+    #[inline]
+    fn backoff(&mut self) {}
+}
+
+impl Cells for MemCtx<'_> {
+    fn read(&mut self, cell: CellId) -> u64 {
         self.use_primitive();
         let v = self.mem.read(cell);
         self.footprint = Some(Footprint {
@@ -107,8 +141,7 @@ impl<'a> MemCtx<'a> {
         v
     }
 
-    /// Primitive write of a base object.
-    pub fn write(&mut self, cell: CellId, value: u64) {
+    fn write(&mut self, cell: CellId, value: u64) {
         self.use_primitive();
         self.mem.write(cell, value);
         self.footprint = Some(Footprint {
@@ -118,8 +151,7 @@ impl<'a> MemCtx<'a> {
         self.record(cell, PrimKind::Write, value);
     }
 
-    /// Primitive compare-and-swap on a base object.
-    pub fn cas(&mut self, cell: CellId, expected: u64, new: u64) -> bool {
+    fn cas(&mut self, cell: CellId, expected: u64, new: u64) -> bool {
         self.use_primitive();
         let ok = self.mem.cas(cell, expected, new);
         self.footprint = Some(Footprint {
@@ -167,10 +199,13 @@ pub trait ProcessHandle<S: ObjectSpec>: Clone + PartialEq + std::fmt::Debug {
     /// Executes one step (at most one primitive). Returns `Some(resp)` when
     /// the pending operation completes, `None` otherwise.
     ///
+    /// The same text runs in both worlds: the executor passes a [`MemCtx`],
+    /// a threaded handle an [`&AtomicMem`](crate::AtomicMem).
+    ///
     /// # Panics
     ///
     /// Panics if the process is idle.
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<S::Resp>;
+    fn step<C: Cells>(&mut self, mem: &mut C) -> Option<S::Resp>;
 
     /// The cell the *next* step will access, if the machine knows it.
     ///

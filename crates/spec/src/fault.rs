@@ -421,7 +421,7 @@ mod tests {
     use super::*;
     use hi_core::Progress;
     use hi_core::{HiLevel, ObjectSpec, Roles};
-    use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};
+    use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
 
     // ------------------------------------------------------------------
     // A counter over a single CAS'd cell whose Inc can be made to apply
@@ -515,7 +515,7 @@ mod tests {
         fn is_idle(&self) -> bool {
             self.pc == CasPc::Idle
         }
-        fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<AckResp> {
+        fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<AckResp> {
             match self.pc.clone() {
                 CasPc::Idle => panic!("no pending op"),
                 CasPc::Read { second } => {
@@ -686,7 +686,7 @@ mod tests {
         fn is_idle(&self) -> bool {
             self.pc == HsPc::Idle
         }
-        fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
+        fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
             match self.pc.clone() {
                 HsPc::Idle => panic!("no pending op"),
                 HsPc::Raise(v) => {

@@ -58,5 +58,5 @@ pub use lin::{linearize, linearize_to, LinError, LinOptions, Linearization};
 pub use model_check::{check_sim_object_exhaustive, ExhaustiveConfig, ExhaustiveReport};
 pub use sim_object::{
     check_sim_object, model_for, sim_workload, CanonicalOracle, CanonicalView,
-    DirectCanonicalObserver, SimAudit, SimObject, SimObjectReport, StateOracle,
+    DirectCanonicalObserver, Layout, SimAudit, SimObject, SimObjectReport, StateOracle,
 };

@@ -20,7 +20,7 @@
 //! use hi_core::objects::{MultiRegisterSpec, RegisterOp, RegisterResp};
 //! use hi_core::{HiLevel, Progress, Roles};
 //! use hi_sim::{
-//!     CellDomain, CellId, Implementation, MemCtx, Pid, ProcessHandle, SharedMem,
+//!     CellDomain, CellId, Implementation, Cells, Pid, ProcessHandle, SharedMem,
 //! };
 //! use hi_spec::{check_sim_object, ObservationModel, SimAudit, SimObject};
 //!
@@ -45,7 +45,7 @@
 //!     fn is_idle(&self) -> bool {
 //!         self.pending.is_none()
 //!     }
-//!     fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
+//!     fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
 //!         match self.pending.take().expect("no pending op") {
 //!             RegisterOp::Read => Some(RegisterResp::Value(ctx.read(self.cell))),
 //!             RegisterOp::Write(v) => {
@@ -264,6 +264,20 @@ pub trait SimObject<S: ObjectSpec> {
     fn hi_audit(&self) -> SimAudit<S, Self::Machine>;
 }
 
+/// How a simulated implementation's memory layout reads: the canonical
+/// image of a state, and the state an image decodes to. The threaded world
+/// (`hi_api::threaded`) lays the same `init_memory()` out on atomics and
+/// audits and decodes its arena through this.
+pub trait Layout<S: ObjectSpec> {
+    /// The canonical memory image of `state`, or `None` if the
+    /// implementation fixes no canonical form ([`HiLevel::NotHi`]).
+    fn canonical_image(&self, state: &S::State) -> Option<Vec<u64>>;
+
+    /// The abstract state a memory image decodes to. Only meaningful at the
+    /// points the implementation's [`HiLevel`] lets an observer look.
+    fn state_of(&self, mem: &[u64]) -> S::State;
+}
+
 /// Result of a successful [`check_sim_object`] run. `Eq`, so determinism
 /// suites can compare two runs under the same seed verbatim.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -455,7 +469,7 @@ mod tests {
     use super::*;
     use hi_core::objects::{MultiRegisterSpec, RegisterOp, RegisterResp};
     use hi_core::Pid;
-    use hi_sim::{CellDomain, CellId, MemCtx, ProcessHandle, SharedMem};
+    use hi_sim::{CellDomain, CellId, Cells, ProcessHandle, SharedMem};
 
     /// A register whose writer leaks a running write count into a second
     /// cell: linearizable, but history independent at no level. Declared
@@ -516,7 +530,7 @@ mod tests {
             self.pc == Pc::Idle
         }
 
-        fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<RegisterResp> {
+        fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
             match self.pc.clone() {
                 Pc::Idle => panic!("no pending op"),
                 Pc::Read => {

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use hi_core::{EnumerableSpec, Pid};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, MemSnapshot, ProcessHandle, SharedMem};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, MemSnapshot, ProcessHandle, SharedMem};
 
 use crate::codec::Codec;
 
@@ -97,7 +97,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for CasUniversalProcess<S> {
         self.pc == Pc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<S::Resp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<S::Resp> {
         match std::mem::replace(&mut self.pc, Pc::Idle) {
             Pc::Idle => panic!("step of idle process"),
             Pc::Read { op } => {

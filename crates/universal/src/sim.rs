@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use hi_core::{EnumerableSpec, HiLevel, Pid, Progress, Roles};
 use hi_llsc::{LlscLayout, LlscOp};
-use hi_sim::{CellDomain, CellId, Implementation, MemCtx, MemSnapshot, ProcessHandle, SharedMem};
+use hi_sim::{CellDomain, CellId, Cells, Implementation, MemSnapshot, ProcessHandle, SharedMem};
 use hi_spec::{ObservationModel, SimAudit, SimObject};
 
 use crate::codec::{AnnValue, Codec, ANN_BOT, ANN_OP, ANN_RESP};
@@ -275,7 +275,7 @@ impl<S: EnumerableSpec> UniversalProcess<S> {
 
     /// Reads `announce[who]` (one primitive) and unpacks it into
     /// `(tag, payload)`.
-    fn load_ann(&self, ctx: &mut MemCtx<'_>, who: usize) -> (u64, u64) {
+    fn load_ann(&self, ctx: &mut impl Cells, who: usize) -> (u64, u64) {
         let raw = ctx.read(self.ann[who]);
         self.codec.unpack_ann(self.al().val(raw))
     }
@@ -301,7 +301,7 @@ impl<S: EnumerableSpec> ProcessHandle<S> for UniversalProcess<S> {
         self.pc == Pc::Idle
     }
 
-    fn step(&mut self, ctx: &mut MemCtx<'_>) -> Option<S::Resp> {
+    fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<S::Resp> {
         let i = self.pid;
         match std::mem::replace(&mut self.pc, Pc::Idle) {
             Pc::Idle => panic!("step of idle process"),

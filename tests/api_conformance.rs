@@ -349,3 +349,93 @@ fn resplitting_preserves_state_across_handle_generations() {
     }
     assert_eq!(q.abstract_state(), Vec::<u32>::new());
 }
+
+/// Applies one seeded solo script through the adapter `obj` and through an
+/// executor of its simulator twin `sim`: after every op the two worlds must
+/// agree on the response and on every memory word.
+fn solo_scripts_agree<S, O, M>(name: &str, mut obj: O, sim: M, seed: u64)
+where
+    S: hi_core::EnumerableSpec,
+    O: ConcurrentObject<S>,
+    M: hi_concurrent::sim::Implementation<S>,
+{
+    use hi_concurrent::sim::{Executor, Pid};
+    use hi_core::workload::SplitMix64;
+
+    let menus = hi_core::menus_for(obj.spec(), obj.roles());
+    let mut exec = Executor::new(sim);
+    assert_eq!(
+        obj.mem_snapshot(),
+        exec.snapshot(),
+        "{name}: initial memory"
+    );
+    let mut rng = SplitMix64::new(seed);
+    for i in 0..200 {
+        let role = rng.below(menus.len());
+        let op = menus[role][rng.below(menus[role].len())].clone();
+        let threaded = obj.handles()[role].apply(op.clone());
+        let simulated = exec.run_op_solo(Pid(role), op.clone(), 10_000).unwrap();
+        assert_eq!(threaded, simulated, "{name}: response of op {i} ({op:?})");
+        assert_eq!(
+            obj.mem_snapshot(),
+            exec.snapshot(),
+            "{name}: memory after op {i} ({op:?})"
+        );
+    }
+}
+
+#[test]
+fn threaded_arena_matches_the_sim_memory_word_for_word() {
+    // The register, set and queue adapters run their simulator step
+    // machines on an atomic arena laid out by the same `init_memory()`: the
+    // certified machine and the shipped one are one text on one layout.
+    use hi_concurrent::api::{
+        HiSetObject, LockFreeHiObject, MaxRegisterObject, QueueObject, VidyasankarObject,
+        WaitFreeHiObject,
+    };
+    use hi_concurrent::queue::PositionalQueue;
+    use hi_concurrent::registers::{
+        HiSet, LockFreeHiRegister, MaxRegister, VidyasankarRegister, WaitFreeHiRegister,
+    };
+    use hi_core::objects::{BoundedQueueSpec, MaxRegisterSpec, MultiRegisterSpec, SetSpec};
+
+    let reg = MultiRegisterSpec::new(5, 1);
+    for seed in seeds() {
+        solo_scripts_agree(
+            "register/vidyasankar-k5",
+            VidyasankarObject::new(reg),
+            VidyasankarRegister::new(5, 1),
+            seed,
+        );
+        solo_scripts_agree(
+            "register/lockfree-hi-k5",
+            LockFreeHiObject::new(reg),
+            LockFreeHiRegister::new(5, 1),
+            seed,
+        );
+        solo_scripts_agree(
+            "register/waitfree-hi-k5",
+            WaitFreeHiObject::new(reg),
+            WaitFreeHiRegister::new(5, 1),
+            seed,
+        );
+        solo_scripts_agree(
+            "queue/positional-t3",
+            QueueObject::new(BoundedQueueSpec::new(3, 6)),
+            PositionalQueue::new(3, 6),
+            seed,
+        );
+        solo_scripts_agree(
+            "register/max-k6",
+            MaxRegisterObject::new(MaxRegisterSpec::new(6)),
+            MaxRegister::new(6),
+            seed,
+        );
+        solo_scripts_agree(
+            "set/hi-t6-n3",
+            HiSetObject::new(SetSpec::new(6), 3),
+            HiSet::new(6, 3),
+            seed,
+        );
+    }
+}

@@ -82,11 +82,6 @@ const ORDERING_ALLOWLIST: &[(&str, usize, &str)] = &[
         "Relaxed stop-flag/counter in the bench harness threads (no data published)",
     ),
     (
-        "crates/core/src/cells.rs",
-        1,
-        "CELL_ORD = SeqCst: the single constant every threaded cell primitive funnels through",
-    ),
-    (
         "crates/hashtable/src/phase.rs",
         1,
         "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
@@ -95,6 +90,12 @@ const ORDERING_ALLOWLIST: &[(&str, usize, &str)] = &[
         "crates/llsc/src/threaded.rs",
         1,
         "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
+    ),
+    (
+        "crates/sim/src/atomic.rs",
+        1,
+        "ORD = SeqCst: AtomicMem's one ordering, matches the simulator's sequential consistency; \
+         the register, set and queue step machines run on it",
     ),
     (
         "crates/service/src/service.rs",
