@@ -5,12 +5,13 @@
 //! Every machine-readable artifact is built as a [`Json`] and printed: the
 //! two BENCH documents, the model-check reports and the sampled-audit
 //! ledgers. Both BENCH documents share one schema,
-//! `{bench, revision, scenarios, unit, results: [row]}` ([`summary`]), so
-//! revisions can be diffed with `jq` or [`crate::delta`] and no extra
-//! tooling. No serde: the workspace vendors no registry crates.
+//! `{bench, provenance, scenarios, unit, results: [row]}` ([`summary`]):
+//! records of one host at one revision, read with `jq` or [`Json::parse`].
+//! No serde: the workspace vendors no registry crates.
 
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Duration;
 
 /// A JSON value. Numbers are held as `f64`: every field the workspace
@@ -377,50 +378,116 @@ pub fn ops_per_sec(ops: usize, elapsed: Duration) -> f64 {
     ops as f64 / elapsed.max(Duration::from_nanos(1)).as_secs_f64()
 }
 
-/// The git revision of the working tree (short hash, `-dirty` suffixed when
-/// the tree has uncommitted changes), or `"unknown"` outside a repository.
-/// Recorded in every summary so `BENCH_*.json` files can be compared across
-/// PRs — the perf trajectory.
-///
-/// Note the committed snapshot at the workspace root is necessarily stamped
-/// `<parent>-dirty`: it is regenerated *before* the commit that ships it
-/// exists, so its revision names the commit it was built on top of. The CI
-/// artifact, regenerated from a clean checkout, carries the exact stamp.
+/// The revision being measured: `GITHUB_SHA` when it is set (a CI run
+/// names its exact commit), else the short hash of the checkout's HEAD,
+/// or `"unknown"` outside a repository. Whether the tree differs from it
+/// is [`Provenance::dirty`], not a suffix.
 pub fn git_revision() -> String {
-    let rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(workspace_root())
-        .output()
+    std::env::var("GITHUB_SHA")
         .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty());
-    let Some(rev) = rev else {
-        return "unknown".to_string();
-    };
-    let dirty = std::process::Command::new("git")
-        .args(["status", "--porcelain"])
-        .current_dir(workspace_root())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .is_some_and(|o| !o.stdout.is_empty());
-    if dirty {
-        format!("{rev}-dirty")
-    } else {
-        rev
+        .filter(|s| !s.is_empty())
+        .or_else(|| git(&["rev-parse", "--short", "HEAD"]))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Standard output of `cmd`, trimmed, when it succeeds.
+fn stdout_of(cmd: &mut Command) -> Option<String> {
+    let out = cmd.output().ok().filter(|o| o.status.success())?;
+    Some(String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// `git <args>`, run at the workspace root.
+fn git(args: &[&str]) -> Option<String> {
+    stdout_of(Command::new("git").args(args).current_dir(workspace_root()))
+}
+
+/// Where a measurement was taken: the [`git_revision`], whether the tree
+/// was `dirty`, and the [`host`](Self::host) fields two runs must share to
+/// be compared (available parallelism, architecture, `rustc -V` and the
+/// build profile). Every BENCH summary carries one, and [`crate::ab`]
+/// reads the same fields from perfbench's `provenance` line.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Provenance {
+    pub revision: String,
+    pub dirty: bool,
+    pub nproc: u64,
+    pub arch: String,
+    pub rustc: String,
+    pub profile: String,
+}
+
+impl Provenance {
+    /// The provenance of a run made now, from this build.
+    pub fn current() -> Provenance {
+        let rustc = stdout_of(Command::new("rustc").arg("-V"));
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        Provenance {
+            revision: git_revision(),
+            dirty: git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()),
+            nproc: std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
+            arch: std::env::consts::ARCH.to_string(),
+            rustc: rustc.unwrap_or_else(|| "unknown".to_string()),
+            profile: profile.to_string(),
+        }
+    }
+
+    /// The host fields, which two runs must share to be compared.
+    pub fn host(&self) -> [(&'static str, Json); 4] {
+        [
+            ("nproc", self.nproc.into()),
+            ("arch", self.arch.as_str().into()),
+            ("rustc", self.rustc.as_str().into()),
+            ("profile", self.profile.as_str().into()),
+        ]
+    }
+
+    /// The JSON object: `revision`, `dirty`, then the [`host`](Self::host)
+    /// fields.
+    pub fn to_json(&self) -> Json {
+        let head = [
+            ("revision", self.revision.as_str().into()),
+            ("dirty", self.dirty.into()),
+        ];
+        Json::obj(head.into_iter().chain(self.host()))
+    }
+
+    /// Reads the fields from a JSON object that may carry others. A
+    /// `dirty` that is not `true` (perfbench prints `null` outside a
+    /// checkout) reads as clean.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is missing or of the wrong type.
+    pub fn from_json(j: &Json) -> Result<Provenance, String> {
+        let bad = |key: &str| format!("provenance lacks or mistypes {key:?}");
+        let text = |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
+        let text = |key: &str| text(key).ok_or_else(|| bad(key));
+        Ok(Provenance {
+            revision: text("revision")?,
+            dirty: j.get("dirty") == Some(&Json::Bool(true)),
+            nproc: j
+                .get("nproc")
+                .and_then(Json::as_num)
+                .ok_or_else(|| bad("nproc"))? as u64,
+            arch: text("arch")?,
+            rustc: text("rustc")?,
+            profile: text("profile")?,
+        })
     }
 }
 
-/// The summary document of one bench run: `bench`, the [`git_revision`]
-/// it was measured at, the row count, the `unit` of its headline metric,
-/// and one `results` row per scenario (each an object whose first field is
-/// `"scenario"`, the key [`crate::delta`] matches rows by).
+/// The summary document of one bench run: `bench`, the [`Provenance`]
+/// it was measured with, the row count, the `unit` of its headline
+/// metric, and one `results` row per scenario (each an object whose first
+/// field is `"scenario"`).
 pub fn summary(bench: &str, unit: &str, rows: Vec<Json>) -> Json {
     Json::obj([
         ("bench", bench.into()),
-        ("revision", git_revision().into()),
+        ("provenance", Provenance::current().to_json()),
         ("scenarios", rows.len().into()),
         ("unit", unit.into()),
         ("results", Json::Arr(rows)),
@@ -449,13 +516,13 @@ pub fn write_summary(bench: &str, unit: &str, rows: Vec<Json>) -> std::io::Resul
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::hist::Histogram;
 
     /// One `BENCH_service_latency.json` row from fixed numbers, built the
     /// way the `service_latency` bench builds it from a soak report.
-    pub(crate) fn sample_row(scenario: &str, scale: u64) -> Json {
+    fn sample_row(scenario: &str, scale: u64) -> Json {
         let mut h = Histogram::new();
         for v in [100, 200, 400, 900, 5_000] {
             h.record(v * scale);
@@ -496,16 +563,20 @@ pub(crate) mod tests {
     }
 
     /// Asserts that `doc` carries the golden document's fields, in order,
-    /// with its values; only the revision stamp may differ.
+    /// with its values; provenance values may differ, its keys may not.
     fn assert_matches_golden(golden: &str, mut doc: Json) {
         let golden = Json::parse(golden).expect("golden parses");
-        let revision = doc.get("revision").and_then(Json::as_str);
-        assert!(
-            revision.is_some_and(|r| !r.is_empty()),
-            "perf trajectory is keyed by revision"
-        );
-        if let Json::Obj(fields) = &mut doc {
-            fields[1].1 = golden.get("revision").cloned().expect("golden revision");
+        let prov = |d: &Json| d.get("provenance").map(Provenance::from_json);
+        assert!(matches!(prov(&doc), Some(Ok(p)) if !p.revision.is_empty()));
+        if let (Json::Obj(fields), Some(Json::Obj(want))) = (&mut doc, golden.get("provenance")) {
+            let Json::Obj(got) = &mut fields[1].1 else {
+                panic!("provenance is an object")
+            };
+            assert!(
+                got.iter().map(|f| &f.0).eq(want.iter().map(|f| &f.0)),
+                "keys"
+            );
+            got.clone_from(want);
         }
         assert_eq!(Json::parse(&doc.to_string()), Ok(golden));
     }
@@ -568,6 +639,13 @@ pub(crate) mod tests {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         let text = Json::from("q\"b\\c\n").to_string();
         assert_eq!(text, r#""q\"b\\c\u000a""#);
+    }
+
+    #[test]
+    fn parser_rejects_malformed_documents() {
+        for bad in ["", "[1, 2", "{} trailing", "{\"a\" 1}", r#""\q""#] {
+            assert!(Json::parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! Shared helpers for the benchmarks that regenerate the cost side of the
 //! paper's Table 1 and Figures 1–5: the [`Group`] timing loop the
 //! microbenches print through, the workspace's one JSON layer
-//! ([`json`]), the cross-revision delta gate ([`delta`]) and the
-//! log-scale latency histogram ([`hist`]). See `benches/` for the
+//! ([`json`]), the same-host A/B gate over the repository benchmark
+//! ([`ab`]) and the log-scale latency histogram ([`hist`]). See `benches/` for the
 //! individual harnesses; the `repro_*` examples at the workspace root
 //! print the paper's verdicts and figure traces.
 
-pub mod delta;
+pub mod ab;
 pub mod hist;
 pub mod json;
 

@@ -1,6 +1,6 @@
 //! Tail latency of every soak-registry scenario under heavy service load,
 //! emitted as a machine-readable `BENCH_service_latency.json` at the
-//! workspace root (revision-keyed, like the throughput bench).
+//! workspace root (stamped with its provenance, like the throughput bench).
 //!
 //! Each scenario soaks its object through `HI_SOAK_OPS` operations
 //! (default one million) of sharded client traffic with mid-soak
@@ -9,8 +9,9 @@
 //! histogram, the span attribution (queue-wait and service-time
 //! quantiles), gross and audit-excluded throughput, the barrier audit
 //! count, and the online (mid-flight) HI probe counts on Perfect-HI
-//! backends. The committed JSON is the baseline the CI `bench-delta`
-//! job diffs fresh runs against (`hi_bench::delta`).
+//! backends. The committed JSON is a record of one host at one revision,
+//! not a baseline: regressions are gated by the same-host A/B runs of
+//! `perf_ab` (`hi_bench::ab`).
 //!
 //! ```sh
 //! cargo bench --bench service_latency                 # 1M ops/scenario
@@ -26,8 +27,8 @@ use hi_service::{soak_registry, SoakConfig, SoakProfile, SoakReport};
 const SEED: u64 = 0xbe7c;
 
 /// One result row: the end-to-end quantiles plus the `queue_wait_*` /
-/// `service_*` span attribution and the online-audit counts — the fields
-/// `hi_bench::delta` diffs across revisions. Latencies are nanoseconds.
+/// `service_*` span attribution and the online-audit counts. Latencies
+/// are nanoseconds.
 fn row(scenario: &str, report: &SoakReport) -> Json {
     let l = report.latency.summary();
     let (q, s) = (report.queue_wait.summary(), report.service.summary());

@@ -40,9 +40,9 @@
 //!   drain-barrier mid-soak HI audits, online (mid-flight) HI probes on
 //!   perfect-HI backends, and per-span tail-latency histograms over the
 //!   [`soak_registry`](hi_service::soak_registry) scenarios.
-//! * [`bench`] — the log-scale latency histogram, the revision-keyed
-//!   `BENCH_*.json` writers, and the cross-PR latency
-//!   [`delta`](hi_bench::delta) gate behind the `bench_delta` CLI.
+//! * [`bench`] — the log-scale latency histogram, the `BENCH_*.json`
+//!   record writers with their provenance, and the same-host A/B gate
+//!   [`ab`](hi_bench::ab) behind the `perf_ab` CLI.
 //!
 //! # Quickstart
 //!
