@@ -257,7 +257,7 @@ impl<S: ObjectSpec> fmt::Display for DriveError<S> {
 impl<S: ObjectSpec> Error for DriveError<S> {}
 
 /// Renders a panic payload the way the default hook would.
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -441,15 +441,6 @@ where
     })
 }
 
-/// What the watchdogged driver thread reports before driving: enough for
-/// the watchdog to diagnose a wedge from outside.
-struct Preflight {
-    /// The object's memory at drive start.
-    mem0: Vec<u64>,
-    /// Live per-handle completion counters, shared with the workers.
-    progress: Arc<ProgressCounters>,
-}
-
 /// [`drive`], but un-hangable: the object is constructed and driven inside
 /// a detached driver thread, and the caller waits at most `cfg.deadline`
 /// for the verdict.
@@ -477,47 +468,29 @@ where
     S::State: Send,
     O: ConcurrentObject<S>,
 {
-    let (pre_tx, pre_rx) = mpsc::channel::<Preflight>();
-    let (done_tx, done_rx) = mpsc::channel::<Result<DriveReport<S>, DriveError<S>>>();
     let cfg = *cfg;
-    std::thread::Builder::new()
-        .name("hi-drive-watchdogged".into())
-        .spawn(move || {
-            let verdict = catch_unwind(AssertUnwindSafe(|| {
-                let mut obj = make();
-                let menus = menus_for(&obj.spec().clone(), obj.roles());
-                let planned: Vec<usize> = menus
-                    .iter()
-                    .map(|m| if m.is_empty() { 0 } else { cfg.ops_per_handle })
-                    .collect();
-                let progress = Arc::new(ProgressCounters::new(planned));
-                let _ = pre_tx.send(Preflight {
-                    mem0: obj.mem_snapshot(),
-                    progress: Arc::clone(&progress),
-                });
-                drive_core(&mut obj, &cfg, Some(&progress))
-            }));
-            let _ = done_tx.send(verdict.unwrap_or_else(|payload| {
-                Err(DriveError::Panicked {
-                    handle: None,
-                    message: panic_message(payload),
-                })
-            }));
-        })
-        .expect("spawn watchdogged driver thread");
-
-    let start = Instant::now();
-    let pre = pre_rx.recv_timeout(cfg.deadline).ok();
-    let remaining = cfg.deadline.saturating_sub(start.elapsed());
-    match done_rx.recv_timeout(remaining) {
-        Ok(verdict) => verdict,
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(DriveError::Panicked {
+    let watched = watchdog("hi-drive-watchdogged", cfg.deadline, move |preflight| {
+        let mut obj = make();
+        let menus = menus_for(&obj.spec().clone(), obj.roles());
+        let planned: Vec<usize> = menus
+            .iter()
+            .map(|m| if m.is_empty() { 0 } else { cfg.ops_per_handle })
+            .collect();
+        let progress = Arc::new(ProgressCounters::new(planned));
+        // Enough to diagnose a wedge from outside: the drive-start memory
+        // and the live per-handle completion counters.
+        preflight((obj.mem_snapshot(), Arc::clone(&progress)));
+        drive_core(&mut obj, &cfg, Some(&progress))
+    });
+    match watched {
+        Watched::Done(verdict) => verdict,
+        Watched::Panicked(message) => Err(DriveError::Panicked {
             handle: None,
-            message: "driver thread died without reporting".into(),
+            message: message.unwrap_or_else(|| "driver thread died without reporting".into()),
         }),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
+        Watched::Wedged(pre) => {
             let (stalled, mem) = match pre {
-                Some(p) => (p.progress.snapshot().stalled(), p.mem0),
+                Some((mem0, progress)) => (progress.snapshot().stalled(), mem0),
                 None => (Vec::new(), Vec::new()),
             };
             Err(DriveError::Wedged {
@@ -526,6 +499,61 @@ where
                 mem,
             })
         }
+    }
+}
+
+/// How a [`watchdog`]ed body ended.
+#[derive(Debug)]
+pub enum Watched<P, T> {
+    /// The body returned within the deadline.
+    Done(T),
+    /// The body panicked (the rendered payload), or its thread died
+    /// without reporting (`None`).
+    Panicked(Option<String>),
+    /// The deadline expired. The wedged thread is abandoned, not killed;
+    /// this carries what the body reported before it started, if anything.
+    Wedged(Option<P>),
+}
+
+/// Runs `body` on a detached thread named `name` and waits at most
+/// `deadline` for it — the un-hangable core of [`drive_watchdogged`] and
+/// the service's soak watchdog. `body` may hand the watchdog a preflight
+/// report (once, before its long-running part) through the callback it is
+/// given, for diagnosing a wedge from outside.
+///
+/// # Panics
+///
+/// If the thread cannot be spawned.
+pub fn watchdog<P, T>(
+    name: &str,
+    deadline: Duration,
+    body: impl FnOnce(&dyn Fn(P)) -> T + Send + 'static,
+) -> Watched<P, T>
+where
+    P: Send + 'static,
+    T: Send + 'static,
+{
+    let (pre_tx, pre_rx) = mpsc::channel::<P>();
+    let (done_tx, done_rx) = mpsc::channel::<Result<T, String>>();
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let preflight = move |p: P| {
+                let _ = pre_tx.send(p);
+            };
+            let verdict = catch_unwind(AssertUnwindSafe(|| body(&preflight)));
+            let _ = done_tx.send(verdict.map_err(panic_message));
+        })
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+
+    let start = Instant::now();
+    let pre = pre_rx.recv_timeout(deadline).ok();
+    let remaining = deadline.saturating_sub(start.elapsed());
+    match done_rx.recv_timeout(remaining) {
+        Ok(Ok(done)) => Watched::Done(done),
+        Ok(Err(message)) => Watched::Panicked(Some(message)),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Watched::Panicked(None),
+        Err(mpsc::RecvTimeoutError::Timeout) => Watched::Wedged(pre),
     }
 }
 

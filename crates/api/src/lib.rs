@@ -58,8 +58,8 @@ pub use adapters::{
     ShardedTableObject, UniversalObject, VidyasankarObject, WaitFreeHiObject,
 };
 pub use drive::{
-    drive, drive_watchdogged, random_script, throughput, DriveConfig, DriveError, DriveReport,
-    HandleProgress, MetricsSnapshot, ProgressCounters,
+    drive, drive_watchdogged, panic_message, random_script, throughput, watchdog, DriveConfig,
+    DriveError, DriveReport, HandleProgress, MetricsSnapshot, ProgressCounters, Watched,
 };
 pub use hi_spec::{ExhaustiveConfig, ExhaustiveReport};
 pub use object::{

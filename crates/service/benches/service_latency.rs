@@ -16,13 +16,12 @@
 //! ```sh
 //! cargo bench --bench service_latency                 # 1M ops/scenario
 //! HI_SOAK_OPS=40000 cargo bench --bench service_latency   # CI scale
-//! HI_SOAK_PROFILE=long cargo bench --bench service_latency # 50x soak
 //! ```
 
 use std::time::Duration;
 
 use hi_bench::json::{write_summary, Json};
-use hi_service::{soak_registry, SoakConfig, SoakProfile, SoakReport};
+use hi_service::{soak_registry, SoakConfig, SoakReport};
 
 const SEED: u64 = 0xbe7c;
 
@@ -77,9 +76,6 @@ fn main() {
         seed: SEED,
         ..SoakConfig::default()
     };
-    // The long profile multiplies on top of HI_SOAK_OPS (and stretches the
-    // deadline with it), so both knobs compose.
-    let cfg = SoakProfile::from_env().apply(&cfg);
 
     let mut rows = Vec::new();
     println!(

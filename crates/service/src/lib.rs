@@ -66,4 +66,4 @@ pub use service::{
     run_soak, run_soak_with, soak_watchdogged, AuditPoint, AuditRecord, Backpressure, SoakConfig,
     SoakError, SoakReport, WorkerStats,
 };
-pub use soak::{soak_registry, soak_scenario, SoakProfile, SoakScenario};
+pub use soak::{soak_registry, soak_scenario, SoakScenario};

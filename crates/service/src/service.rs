@@ -53,7 +53,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hi_api::{
-    ConcurrentObject, MetricsSnapshot, ObjectHandle, ProbeVerdict, ProgressCounters, SampledAudit,
+    panic_message, watchdog, ConcurrentObject, MetricsSnapshot, ObjectHandle, ProbeVerdict,
+    ProgressCounters, SampledAudit, Watched,
 };
 use hi_bench::hist::Histogram;
 
@@ -916,17 +917,6 @@ where
     verdict.map(|()| out)
 }
 
-/// Renders a panic payload the way the default hook would.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// [`run_soak`] with an observer invoked at every drain barrier, while
 /// the object is state-quiescent (all handles dropped) and before the
 /// next epoch re-splits them. This is the hook the drain-barrier tests
@@ -1123,12 +1113,6 @@ where
     Ok(report)
 }
 
-/// What the watchdogged driver thread reports before soaking: the live
-/// per-worker counters the watchdog diagnoses a wedge from.
-struct Preflight {
-    counters: Arc<ProgressCounters>,
-}
-
 /// [`run_soak`], but un-hangable: the object is constructed and soaked
 /// inside a detached driver thread and the caller waits at most
 /// `cfg.deadline` for the verdict; on expiry the wedged thread is
@@ -1151,46 +1135,27 @@ where
     S::State: Send,
     O: ConcurrentObject<S>,
 {
-    let (pre_tx, pre_rx) = mpsc::channel::<Preflight>();
-    let (done_tx, done_rx) = mpsc::channel::<Result<SoakReport, SoakError>>();
     let cfg = *cfg;
-    std::thread::Builder::new()
-        .name("hi-soak-watchdogged".into())
-        .spawn(move || {
-            let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut obj = make();
-                let plan = Plan::new(&obj, &cfg);
-                let counters = Arc::new(plan.progress_counters(&cfg));
-                let _ = pre_tx.send(Preflight {
-                    counters: Arc::clone(&counters),
-                });
-                run_soak_core(&mut obj, &cfg, &plan, &counters, &mut |_| {})
-            }));
-            let _ = done_tx.send(verdict.unwrap_or_else(|payload| {
-                Err(SoakError::Panicked {
-                    worker: None,
-                    message: panic_message(payload),
-                })
-            }));
-        })
-        .expect("spawn watchdogged soak driver thread");
-
-    let start = Instant::now();
-    let pre = pre_rx.recv_timeout(cfg.deadline).ok();
-    let remaining = cfg.deadline.saturating_sub(start.elapsed());
-    match done_rx.recv_timeout(remaining) {
-        Ok(verdict) => verdict,
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(SoakError::Panicked {
+    let watched = watchdog("hi-soak-watchdogged", cfg.deadline, move |preflight| {
+        let mut obj = make();
+        let plan = Plan::new(&obj, &cfg);
+        let counters = Arc::new(plan.progress_counters(&cfg));
+        preflight(Arc::clone(&counters));
+        run_soak_core(&mut obj, &cfg, &plan, &counters, &mut |_| {})
+    });
+    match watched {
+        Watched::Done(verdict) => verdict,
+        Watched::Panicked(message) => Err(SoakError::Panicked {
             worker: None,
-            message: "soak driver thread died without reporting".into(),
+            message: message.unwrap_or_else(|| "soak driver thread died without reporting".into()),
         }),
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(SoakError::Wedged {
+        Watched::Wedged(pre) => Err(SoakError::Wedged {
             after: cfg.deadline,
             progress: pre.map_or(
                 MetricsSnapshot {
                     handles: Vec::new(),
                 },
-                |p| p.counters.snapshot(),
+                |counters| counters.snapshot(),
             ),
         }),
     }

@@ -244,93 +244,3 @@ pub fn soak_registry() -> Vec<SoakScenario> {
 pub fn soak_scenario(name: &str) -> Option<SoakScenario> {
     soak_registry().into_iter().find(|s| s.name == name)
 }
-
-/// How hard a soak run leans on the registry: the standing CI/bench
-/// configuration, or the `HI_SOAK_PROFILE=long` overnight profile that
-/// scales op counts ~50× and audits proportionally more epochs. The knob
-/// is explicit — callers read the environment once
-/// ([`SoakProfile::from_env`]) and [`apply`](SoakProfile::apply) the
-/// result — so nothing in the harness consults the environment behind the
-/// caller's back, and tests can exercise `Long` directly on tiny configs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SoakProfile {
-    /// The caller's config as-is: the CI and bench default.
-    #[default]
-    Default,
-    /// The long-soak profile: ~50× the operations, ~5× the drain
-    /// barriers, 10× the deadline. Selected by `HI_SOAK_PROFILE=long`.
-    Long,
-}
-
-impl SoakProfile {
-    /// Reads `HI_SOAK_PROFILE` from the environment: `long` (any case)
-    /// selects [`SoakProfile::Long`], anything else — including unset —
-    /// the default.
-    pub fn from_env() -> SoakProfile {
-        match std::env::var("HI_SOAK_PROFILE") {
-            Ok(v) if v.eq_ignore_ascii_case("long") => SoakProfile::Long,
-            _ => SoakProfile::Default,
-        }
-    }
-
-    /// Scales `cfg` to this profile. [`SoakProfile::Default`] returns it
-    /// unchanged; [`SoakProfile::Long`] multiplies the op budget ~50×,
-    /// audits ~5× as many epochs, and stretches the watchdog deadline to
-    /// match.
-    #[must_use]
-    pub fn apply(self, cfg: &SoakConfig) -> SoakConfig {
-        match self {
-            SoakProfile::Default => *cfg,
-            SoakProfile::Long => SoakConfig {
-                total_ops: cfg.total_ops.saturating_mul(50),
-                mid_audits: cfg.mid_audits.saturating_mul(5),
-                deadline: cfg.deadline.saturating_mul(10),
-                ..*cfg
-            },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::service::run_soak;
-    use hi_api::HiSetObject;
-    use std::time::Duration;
-
-    #[test]
-    fn long_profile_scales_the_knobs_that_matter() {
-        let base = SoakConfig {
-            total_ops: 40,
-            mid_audits: 2,
-            deadline: Duration::from_secs(30),
-            ..SoakConfig::default()
-        };
-        assert_eq!(SoakProfile::Default.apply(&base).total_ops, 40);
-        let long = SoakProfile::Long.apply(&base);
-        assert_eq!(long.total_ops, 2_000);
-        assert_eq!(long.mid_audits, 10);
-        assert_eq!(long.deadline, Duration::from_secs(300));
-        assert_eq!(long.clients, base.clients, "load shape is untouched");
-        assert_eq!(long.seed, base.seed);
-    }
-
-    #[test]
-    fn long_profile_drives_a_real_soak() {
-        // The profile applied to a deliberately tiny base config: the
-        // scaled run stays cheap but proves `Long` produces a config the
-        // harness accepts end to end (the CI-affordable stand-in for the
-        // overnight HI_SOAK_PROFILE=long run).
-        let tiny = SoakConfig {
-            total_ops: 8,
-            clients: 4,
-            mid_audits: 1,
-            ..SoakConfig::default()
-        };
-        let cfg = SoakProfile::Long.apply(&tiny);
-        let mut obj = HiSetObject::new(hi_core::objects::SetSpec::new(8), 2);
-        let report = run_soak(&mut obj, &cfg).unwrap();
-        assert_eq!(report.ops_applied, 400);
-        assert_eq!(report.audits.len(), 6, "5 mid barriers + the final one");
-    }
-}

@@ -6,7 +6,7 @@ use hi_core::{ObjectSpec, Pid};
 
 use crate::exec::{Executor, RunError};
 use crate::process::Implementation;
-use crate::sched::{Faulty, Scheduler};
+use crate::sched::{FaultPlan, Faulty, Scheduler};
 
 /// A per-process queue of operations to run.
 ///
@@ -107,12 +107,9 @@ impl<S: ObjectSpec, I: Implementation<S>> StepObserver<S, I> for () {
 
 /// Drives `exec` until the workload is exhausted and all operations have
 /// returned, scheduling with `sched` and reporting every transition to
-/// `observer`.
-///
-/// A process is *enabled* if it has a pending operation (it can step) or an
-/// operation waiting in its queue (it can invoke). Each scheduler turn
-/// performs one transition: an invocation if the chosen process is idle,
-/// otherwise one step.
+/// `observer` — the fault-free case of [`run_workload_with_faults`]: the
+/// same loop under the empty [`FaultPlan`], which leaves `sched`'s schedule
+/// unchanged.
 ///
 /// # Errors
 ///
@@ -122,7 +119,7 @@ impl<S: ObjectSpec, I: Implementation<S>> StepObserver<S, I> for () {
 /// hang.
 pub fn run_workload<S, I, Sch, Obs>(
     exec: &mut Executor<S, I>,
-    mut workload: Workload<S>,
+    workload: Workload<S>,
     sched: &mut Sch,
     observer: &mut Obs,
     max_steps: u64,
@@ -133,56 +130,31 @@ where
     Sch: Scheduler,
     Obs: StepObserver<S, I>,
 {
-    assert_eq!(
-        workload.num_processes(),
-        exec.num_processes(),
-        "workload/process count mismatch"
-    );
-    let mut transitions = 0u64;
-    loop {
-        let enabled: Vec<Pid> = (0..exec.num_processes())
-            .map(Pid)
-            .filter(|&p| exec.can_step(p) || workload.has_next(p))
-            .collect();
-        if enabled.is_empty() {
-            return Ok(());
-        }
-        if transitions >= max_steps {
-            return Err(RunError::StepLimit {
-                pid: enabled[0],
-                steps: max_steps,
-            });
-        }
-        transitions += 1;
-        let pid = sched.next_pid(&enabled);
-        if exec.can_step(pid) {
-            exec.step(pid);
-        } else {
-            let op = workload
-                .pop(pid)
-                .expect("scheduler chose a process with no work");
-            exec.invoke(pid, op);
-        }
-        observer.observe(exec);
-    }
+    let mut faulty = Faulty::new(sched, FaultPlan::none(), exec.num_processes());
+    run_workload_with_faults(
+        exec,
+        workload,
+        &mut faulty,
+        |e, _| observer.observe(e),
+        max_steps,
+    )
 }
 
-/// Drives `exec` like [`run_workload`], injecting the faults of `faulty`'s
-/// [`FaultPlan`](crate::FaultPlan).
+/// The scheduling loop: drives `exec` until every non-crashed process is
+/// idle with an empty queue, scheduling with `faulty` (which injects its
+/// [`FaultPlan`]) and reporting every transition to `observer` together
+/// with the fault state, so HI checkers can tell which observation points
+/// lie in the post-crash world.
 ///
-/// The differences from the fault-free loop:
+/// A process is *enabled* if it is not crashed and has a pending operation
+/// (it can step) or an operation waiting in its queue (it can invoke). Each
+/// scheduler turn performs one transition: an invocation if the chosen
+/// process is idle, otherwise one step. A crashed process's queued
+/// operations are abandoned and a pending operation stays pending forever
+/// (its memory contribution is frozen — the paper's crash model).
 ///
-/// - a crashed process is *not* enabled: its queued operations are
-///   abandoned and a pending operation stays pending forever (its memory
-///   contribution is frozen — the paper's crash model);
-/// - the run terminates successfully once every **non-crashed** process is
-///   idle with an empty queue, even if crashed processes still hold pending
-///   operations;
-/// - the observer also sees the fault state, so HI checkers can tell which
-///   observation points lie in the post-crash world.
-///
-/// Until the first fault activates, the schedule is identical to
-/// `run_workload` under the same base scheduler, so a crash point sampled
+/// Until the first fault activates, the schedule is identical to the
+/// fault-free one under the same base scheduler, so a crash point sampled
 /// from a fault-free baseline run lands exactly where intended.
 ///
 /// # Errors

@@ -16,6 +16,12 @@ pub trait Scheduler {
     fn next_pid(&mut self, enabled: &[Pid]) -> Pid;
 }
 
+impl<Sch: Scheduler + ?Sized> Scheduler for &mut Sch {
+    fn next_pid(&mut self, enabled: &[Pid]) -> Pid {
+        (**self).next_pid(enabled)
+    }
+}
+
 /// Rotates through processes in pid order.
 #[derive(Clone, Debug, Default)]
 pub struct RoundRobin {
@@ -264,8 +270,8 @@ impl FaultPlan {
 /// # Panics
 ///
 /// [`Scheduler::next_pid`] panics if every enabled process is *crashed* —
-/// the fault-aware runner never lets that happen (crashed processes are not
-/// enabled), but a raw `run_workload` over a `Faulty` can.
+/// the runner never lets that happen (crashed processes are not enabled),
+/// but a caller handing it an enabled set of its own can.
 #[derive(Clone, Debug)]
 pub struct Faulty<Sch> {
     inner: Sch,
@@ -276,6 +282,8 @@ pub struct Faulty<Sch> {
     global: u64,
     /// Per-fault stall activation: `Some(resume_at)` once triggered.
     stall_until: Vec<Option<u64>>,
+    /// The unblocked subset of the enabled set, reused across turns.
+    alive: Vec<Pid>,
 }
 
 impl<Sch> Faulty<Sch> {
@@ -291,6 +299,7 @@ impl<Sch> Faulty<Sch> {
             taken: vec![0; n],
             global: 0,
             stall_until,
+            alive: Vec::with_capacity(n),
         }
     }
 
@@ -372,13 +381,12 @@ impl<Sch: Scheduler> Scheduler for Faulty<Sch> {
         assert!(!enabled.is_empty(), "no enabled process");
         loop {
             self.refresh_stalls();
-            let alive: Vec<Pid> = enabled
-                .iter()
-                .copied()
-                .filter(|&p| !self.blocked(p))
-                .collect();
-            if !alive.is_empty() {
-                let pid = self.inner.next_pid(&alive);
+            let mut alive = std::mem::take(&mut self.alive);
+            alive.clear();
+            alive.extend(enabled.iter().copied().filter(|&p| !self.blocked(p)));
+            let pick = (!alive.is_empty()).then(|| self.inner.next_pid(&alive));
+            self.alive = alive;
+            if let Some(pid) = pick {
                 self.taken[pid.0] += 1;
                 self.global += 1;
                 return pid;

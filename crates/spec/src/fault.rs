@@ -16,7 +16,7 @@
 //! 3. every plan is run by [`run_fault_plan`], which (a) verifies survivors
 //!    complete within a step budget unless the declared
 //!    [`Progress`](hi_core::Progress) class tolerates wedging on that plan, (b) re-runs the
-//!    object's [`SimAudit`] at the observation points its model permits —
+//!    object's [`SimAudit`](crate::SimAudit) at the observation points its model permits —
 //!    including the post-crash ones, the adversary's snapshot — and
 //!    (c) linearizes the truncated history; for [`Progress::Helping`](hi_core::Progress::Helping)
 //!    objects the final memory is decoded and the history must linearize
@@ -31,11 +31,11 @@
 //! multi-slot rewrite).
 
 use hi_core::{EnumerableSpec, Pid, SplitMix64};
-use hi_sim::{run_workload_with_faults, Executor, FaultPlan, Faulty, Implementation, Seeded};
+use hi_sim::FaultPlan;
 
-use crate::hi::HiMonitor;
+use crate::audit::{run_plan, PlanRun};
 use crate::lin::{linearize, linearize_to, LinOptions};
-use crate::sim_object::{model_for, sim_workload, SimAudit, SimObject};
+use crate::sim_object::SimObject;
 
 /// Knobs of the fault sweep. Construct with [`FaultSweepConfig::new`] and
 /// override fields as needed.
@@ -129,7 +129,7 @@ pub struct PlanOutcome {
 
 /// Runs `obj` under its role-mirrored seeded workload with the faults of
 /// `plan` injected, enforcing the object's declared [`Progress`](hi_core::Progress) class and
-/// auditing its [`SimAudit`] at every permitted observation point —
+/// auditing its [`SimAudit`](crate::SimAudit) at every permitted observation point —
 /// including the post-crash ones.
 ///
 /// Enforcement per class, when the run exceeds `budget` transitions:
@@ -154,7 +154,7 @@ pub struct PlanOutcome {
 /// # Panics
 ///
 /// Panics on inconsistent object metadata (role count ≠ process count,
-/// audit model ≠ [`model_for`] of the declared level).
+/// audit model ≠ [`model_for`](crate::model_for) of the declared level).
 pub fn run_fault_plan<S, O>(
     obj: &O,
     plan: &FaultPlan,
@@ -165,93 +165,16 @@ where
     S: EnumerableSpec,
     O: SimObject<S>,
 {
-    let imp = obj.implementation();
-    let roles = obj.roles();
-    let n = roles.num_handles();
-    assert_eq!(
-        n,
-        imp.num_processes(),
-        "role discipline {roles:?} disagrees with the step machine's process count"
-    );
-    let audit = obj.hi_audit();
-    assert_eq!(
-        audit.model(),
-        model_for(obj.hi_level()),
-        "audit {audit:?} does not match the declared HI level {:?}",
-        obj.hi_level()
-    );
+    let PlanRun {
+        exec,
+        faulty,
+        mut auditor,
+        run,
+    } = run_plan(obj, plan, cfg.seed, cfg.ops_per_pid, budget);
+    if let Some(v) = &auditor.violation {
+        return Err(format!("plan {plan:?}: {v}"));
+    }
     let progress = obj.progress();
-    let workload = sim_workload(obj.spec(), roles, cfg.ops_per_pid, cfg.seed);
-
-    let mut exec = Executor::new(imp.clone());
-    let mut faulty = Faulty::new(Seeded::new(cfg.seed), plan.clone(), n);
-    let mut hi_points = 0u64;
-    let mut post_crash_hi_points = 0u64;
-    // The final memory decoded into an abstract state, when the audit can.
-    let mut decoded_final: Option<S::State> = None;
-
-    let run = match audit {
-        SimAudit::LinOnly => {
-            run_workload_with_faults(&mut exec, workload, &mut faulty, |_e, _f| {}, budget)
-        }
-        SimAudit::Monitor { model, mut oracle } => {
-            let mut monitor = HiMonitor::new(model);
-            let run = run_workload_with_faults(
-                &mut exec,
-                workload,
-                &mut faulty,
-                |e, f| {
-                    if model.permits(e) {
-                        hi_points += 1;
-                        if f.any_crash_active() {
-                            post_crash_hi_points += 1;
-                        }
-                        let state = oracle(e);
-                        monitor.record(state, e.snapshot());
-                    }
-                },
-                budget,
-            );
-            monitor
-                .into_result()
-                .map_err(|v| format!("plan {plan:?}: {v}"))?;
-            if run.is_ok() {
-                decoded_final = Some(oracle(&exec));
-            }
-            run
-        }
-        SimAudit::DirectCanonical { model, mut oracle } => {
-            let mut violation: Option<String> = None;
-            let run = run_workload_with_faults(
-                &mut exec,
-                workload,
-                &mut faulty,
-                |e, f| {
-                    if model.permits(e) {
-                        hi_points += 1;
-                        if f.any_crash_active() {
-                            post_crash_hi_points += 1;
-                        }
-                        if violation.is_none() {
-                            let view = oracle(&e.snapshot());
-                            if view.observed != view.canonical {
-                                violation = Some(format!(
-                                    "at a permitted ({:?}) point, memory {:?} is not the \
-                                     canonical representation {:?} of state {}",
-                                    model, view.observed, view.canonical, view.state
-                                ));
-                            }
-                        }
-                    }
-                },
-                budget,
-            );
-            if let Some(v) = violation {
-                return Err(format!("plan {plan:?}: {v}"));
-            }
-            run
-        }
-    };
 
     let completed = match run {
         Ok(()) => true,
@@ -268,14 +191,19 @@ where
         }
     };
 
-    let crashed_mid_op = (0..n).any(|p| faulty.crashed(Pid(p)) && exec.can_step(Pid(p)));
+    let crashed_mid_op =
+        (0..exec.num_processes()).any(|p| faulty.crashed(Pid(p)) && exec.can_step(Pid(p)));
 
     // The truncated history must linearize; for helping objects, to the
-    // exact state the surviving memory decodes to.
-    let mut exactly_once_checked = false;
-    match (&decoded_final, progress.helps() && completed) {
-        (Some(target), true) => {
-            exactly_once_checked = true;
+    // exact state the surviving memory decodes to, when the audit can
+    // decode it.
+    let target = if progress.helps() && completed {
+        auditor.decode(&exec)
+    } else {
+        None
+    };
+    match &target {
+        Some(target) => {
             linearize_to(exec.spec(), exec.history(), target, &cfg.lin).map_err(|e| {
                 format!(
                     "plan {plan:?}: final memory decodes to state {target:?}, which no \
@@ -284,7 +212,7 @@ where
                 )
             })?;
         }
-        _ => {
+        None => {
             linearize(exec.spec(), exec.history(), &cfg.lin)
                 .map_err(|e| format!("plan {plan:?}: truncated history does not linearize: {e}"))?;
         }
@@ -293,9 +221,9 @@ where
     Ok(PlanOutcome {
         completed,
         crashed_mid_op,
-        hi_points,
-        post_crash_hi_points,
-        exactly_once_checked,
+        hi_points: auditor.points,
+        post_crash_hi_points: auditor.post_crash_points,
+        exactly_once_checked: target.is_some(),
         ops: exec.history().records().len(),
     })
 }
@@ -324,26 +252,24 @@ where
     S: EnumerableSpec,
     O: SimObject<S>,
 {
-    let imp = obj.implementation();
     let n = obj.roles().num_handles();
 
-    // Fault-free baseline: per-process transition counts under the same
-    // seed. The fault runner's schedule is identical until a fault
-    // activates, so these counts are exactly the coordinates crash points
-    // are sampled in.
-    let mut baseline = Faulty::new(Seeded::new(cfg.seed), FaultPlan::none(), n);
-    {
-        let mut exec = Executor::new(imp.clone());
-        let workload = sim_workload(obj.spec(), obj.roles(), cfg.ops_per_pid, cfg.seed);
-        run_workload_with_faults(
-            &mut exec,
-            workload,
-            &mut baseline,
-            |_e, _f| {},
-            cfg.max_steps,
-        )
+    // Fault-free baseline: the empty plan. The fault runner's schedule is
+    // identical until a fault activates, so its per-process transition
+    // counts are exactly the coordinates crash points are sampled in.
+    let base = run_plan(
+        obj,
+        &FaultPlan::none(),
+        cfg.seed,
+        cfg.ops_per_pid,
+        cfg.max_steps,
+    );
+    base.run
         .map_err(|e| format!("fault-free baseline run failed: {e}"))?;
+    if let Some(v) = &base.auditor.violation {
+        return Err(format!("seed {}: fault-free baseline: {v}", cfg.seed));
     }
+    let baseline = &base.faulty;
     let taken: Vec<u64> = (0..n).map(|p| baseline.taken(Pid(p))).collect();
     let budget = (baseline.global() * cfg.budget_factor + cfg.budget_slack).min(cfg.max_steps);
 
@@ -399,7 +325,7 @@ where
         report.ops += outcome.ops;
     }
 
-    if model_for(obj.hi_level()).is_some() {
+    if base.auditor.audited() {
         if report.hi_points == 0 {
             return Err(format!(
                 "seed {}: the fault sweep examined no HI observation point",
@@ -419,6 +345,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimAudit;
     use hi_core::Progress;
     use hi_core::{HiLevel, ObjectSpec, Roles};
     use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};

@@ -1,17 +1,16 @@
-//! One-call check harness: run a workload under a scheduler, monitor history
-//! independence at every permitted observation point, then verify the
+//! The caller-scheduled lane: run a hand-built workload under any
+//! scheduler, monitor history independence at every permitted observation
+//! point through the auditor the other lanes share, then verify the
 //! history linearizes.
 
 use std::error::Error;
 use std::fmt;
 
 use hi_core::{HiViolation, ObjectSpec};
-use hi_sim::{
-    run_workload, Executor, Implementation, MemSnapshot, RunError, Scheduler, StepObserver,
-    Workload,
-};
+use hi_sim::{run_workload, Executor, Implementation, MemSnapshot, RunError, Scheduler, Workload};
 
-use crate::hi::{single_mutator_state, HiMonitor, ObservationModel};
+use crate::audit::Auditor;
+use crate::hi::{single_mutator_state, ObservationModel};
 use crate::lin::{linearize, LinError, LinOptions, Linearization};
 
 /// Result of a successful [`check_run`].
@@ -50,25 +49,6 @@ impl<Q: fmt::Debug> fmt::Display for CheckError<Q> {
 
 impl<Q: fmt::Debug> Error for CheckError<Q> {}
 
-struct MonitorObserver<'a, S: ObjectSpec, F> {
-    monitor: &'a mut HiMonitor<S::State>,
-    oracle: F,
-}
-
-impl<'a, S, I, F> StepObserver<S, I> for MonitorObserver<'a, S, F>
-where
-    S: ObjectSpec,
-    I: Implementation<S>,
-    F: FnMut(&Executor<S, I>) -> S::State,
-{
-    fn observe(&mut self, exec: &Executor<S, I>) {
-        if self.monitor.model().permits(exec) {
-            let state = (self.oracle)(exec);
-            self.monitor.observe(exec, state);
-        }
-    }
-}
-
 /// Runs `workload` on a fresh executor of `imp` under `sched`, monitoring HI
 /// under `model` with the abstract state supplied by `oracle` at each
 /// permitted point, and finally checks linearizability of the full history.
@@ -83,7 +63,7 @@ pub fn check_run<S, I, Sch, F>(
     sched: &mut Sch,
     model: ObservationModel,
     max_steps: u64,
-    mut oracle: F,
+    oracle: F,
 ) -> Result<CheckReport<S::State>, CheckError<S::State>>
 where
     S: ObjectSpec,
@@ -91,25 +71,18 @@ where
     Sch: Scheduler,
     F: FnMut(&Executor<S, I>) -> S::State,
 {
+    let mut auditor = Auditor::monitor(model, Box::new(oracle));
     let mut exec = Executor::new(imp.clone());
-    let mut monitor = HiMonitor::new(model);
-    {
-        let mut observer = MonitorObserver::<S, _> {
-            monitor: &mut monitor,
-            oracle: &mut oracle,
-        };
-        run_workload(&mut exec, workload, sched, &mut observer, max_steps)
-            .map_err(CheckError::Run)?;
-    }
-    let hi_points = monitor.points();
-    if let Some(v) = monitor.violation() {
+    let mut observer = |e: &Executor<S, I>| auditor.observe(e, || false);
+    run_workload(&mut exec, workload, sched, &mut observer, max_steps).map_err(CheckError::Run)?;
+    if let Some(v) = auditor.hi_violation() {
         return Err(CheckError::Hi(v.clone()));
     }
     let lin =
         linearize(exec.spec(), exec.history(), &LinOptions::default()).map_err(CheckError::Lin)?;
     Ok(CheckReport {
         lin,
-        hi_points,
+        hi_points: auditor.points,
         steps: exec.steps(),
         final_snapshot: exec.snapshot(),
     })

@@ -24,20 +24,29 @@
 //!   path, optional single-crash variants) into one registry-drivable
 //!   certification call.
 //!
-//! The [`harness`] module bundles the three into one-call checks used
-//! throughout the workspace's test suites, and the [`sim_object`] module
-//! defines [`SimObject`] — the simulator twin of the threaded
-//! `ConcurrentObject` facade — together with [`check_sim_object`], the one
-//! generic role-aware driver every sim twin in the scenario registry runs
-//! through. The [`fault`] module is that driver's adversarial sibling:
-//! [`check_sim_object_faults`] crashes and stalls every role at sampled
-//! points and enforces each object's declared [`Progress`](hi_core::Progress)
-//! class, audits the post-crash memory, and checks helped operations apply
-//! exactly once.
+//! Every simulator lane audits through one core (a private `audit`
+//! module): one auditor, built from a [`SimAudit`], examines `mem(C)` at
+//! the points its observation model permits and keeps the first violation,
+//! and one scheduling loop (`hi_sim::run_workload_with_faults`) drives the
+//! run. The lanes keep only what differs between them:
+//!
+//! * [`check_run`] ([`harness`]): a hand-built workload under the caller's
+//!   scheduler, monitored by a state oracle;
+//! * [`check_sim_object`] ([`sim_object`]): a [`SimObject`] — the simulator
+//!   twin of the threaded `ConcurrentObject` facade — under its
+//!   role-mirrored seeded workload; the one generic driver every sim twin
+//!   in the scenario registry runs through;
+//! * [`run_fault_plan`] / [`check_sim_object_faults`] ([`fault`]): the same
+//!   seeded run with crashes and stalls injected, enforcing each object's
+//!   declared [`Progress`](hi_core::Progress) class, auditing the
+//!   post-crash memory, and checking helped operations apply exactly once;
+//! * [`check_sim_object_exhaustive`] ([`model_check`]): every schedule of a
+//!   small instance, through the explorer.
 //!
 //! [`History`]: hi_core::History
 //! [`ObjectSpec`]: hi_core::ObjectSpec
 
+mod audit;
 pub mod explore;
 pub mod fault;
 pub mod harness;
@@ -57,6 +66,6 @@ pub use hi::{single_mutator_state, HiMonitor, ObservationModel};
 pub use lin::{linearize, linearize_to, LinError, LinOptions, Linearization};
 pub use model_check::{check_sim_object_exhaustive, ExhaustiveConfig, ExhaustiveReport};
 pub use sim_object::{
-    check_sim_object, model_for, sim_workload, CanonicalOracle, CanonicalView,
-    DirectCanonicalObserver, Layout, SimAudit, SimObject, SimObjectReport, StateOracle,
+    check_sim_object, model_for, sim_workload, CanonicalOracle, CanonicalView, Layout, SimAudit,
+    SimObject, SimObjectReport, StateOracle,
 };

@@ -5,9 +5,9 @@
 //! reduced schedule-space explorer ([`crate::explore`]) over a role-mirrored
 //! workload and applies the full oracle stack along the way:
 //!
-//! * the object's [`SimAudit`] at *every* reachable configuration its
-//!   observation model permits — one [`HiMonitor`] (or direct-canonicity
-//!   observer) shared across all branches, which is exactly the paper's
+//! * the object's [`SimAudit`](crate::SimAudit) at *every* reachable
+//!   configuration its observation model permits — the auditor the seeded
+//!   lanes run, shared across all branches, which is exactly the paper's
 //!   definition: history independence quantifies over *pairs* of
 //!   executions, so observations from different schedules must agree on a
 //!   single canonical map;
@@ -23,12 +23,12 @@
 use std::collections::HashSet;
 
 use hi_core::{EnumerableSpec, FingerprintWriter, ObjectSpec};
-use hi_sim::{Executor, Implementation, StepObserver, Workload};
+use hi_sim::{Executor, Implementation, Workload};
 
+use crate::audit::{preflight, Auditor};
 use crate::explore::{explore_with, ExploreConfig, ExploreStats, ExploreVisitor};
-use crate::hi::HiMonitor;
 use crate::lin::{linearize, LinOptions};
-use crate::sim_object::{model_for, sim_workload, DirectCanonicalObserver, SimAudit, SimObject};
+use crate::sim_object::{sim_workload, SimObject};
 
 /// How [`check_sim_object_exhaustive`] generates and explores its workload.
 #[derive(Clone, Copy, Debug)]
@@ -75,7 +75,8 @@ pub struct ExhaustiveReport {
     pub stats: ExploreStats,
     /// Observation points the HI audit examined (0 iff not audited).
     pub hi_points: u64,
-    /// Whether an HI audit ran (`false` only for [`SimAudit::LinOnly`]).
+    /// Whether an HI audit ran (`false` only for
+    /// [`SimAudit::LinOnly`](crate::SimAudit::LinOnly)).
     pub audited: bool,
     /// Distinct abstract states the monitor observed (0 for direct or
     /// lin-only audits, which keep no state map).
@@ -97,52 +98,20 @@ impl ExhaustiveReport {
     }
 }
 
-/// The audit half of the exploration visitor.
-enum AuditState<S: ObjectSpec, I: Implementation<S>> {
-    None,
-    Monitor {
-        monitor: HiMonitor<S::State>,
-        oracle: crate::sim_object::StateOracle<S, I>,
-    },
-    Direct(DirectCanonicalObserver),
-}
-
 /// Drives the explorer and applies the oracle stack at every callback.
 struct ExhaustiveVisitor<S: ObjectSpec, I: Implementation<S>> {
     spec: S,
-    audit: AuditState<S, I>,
+    auditor: Auditor<'static, S, I>,
     /// Fingerprints of maximal-path histories already linearized.
     lin_seen: HashSet<u128>,
     linearized: u64,
+    /// The first maximal path that does not linearize.
     violation: Option<String>,
-}
-
-impl<S: ObjectSpec, I: Implementation<S>> ExhaustiveVisitor<S, I> {
-    fn audit_config(&mut self, exec: &Executor<S, I>) {
-        match &mut self.audit {
-            AuditState::None => {}
-            AuditState::Monitor { monitor, oracle } => {
-                if monitor.model().permits(exec) {
-                    let state = oracle(exec);
-                    monitor.observe(exec, state);
-                    if let Some(v) = monitor.violation() {
-                        self.violation = Some(v.to_string());
-                    }
-                }
-            }
-            AuditState::Direct(observer) => {
-                observer.observe(exec);
-                if let Some(v) = observer.violation() {
-                    self.violation = Some(v.to_string());
-                }
-            }
-        }
-    }
 }
 
 impl<S: ObjectSpec, I: Implementation<S>> ExploreVisitor<S, I> for ExhaustiveVisitor<S, I> {
     fn on_config(&mut self, exec: &Executor<S, I>) {
-        self.audit_config(exec);
+        self.auditor.observe(exec, || false);
     }
 
     fn on_path_end(&mut self, exec: &Executor<S, I>) {
@@ -163,7 +132,7 @@ impl<S: ObjectSpec, I: Implementation<S>> ExploreVisitor<S, I> for ExhaustiveVis
     }
 
     fn abort(&self) -> bool {
-        self.violation.is_some()
+        self.violation.is_some() || self.auditor.violation.is_some()
     }
 }
 
@@ -176,7 +145,7 @@ impl<S: ObjectSpec, I: Implementation<S>> ExploreVisitor<S, I> for ExhaustiveVis
 /// # Panics
 ///
 /// Panics if the object's metadata is inconsistent: role count ≠ process
-/// count, or audit model ≠ [`model_for`] of the declared
+/// count, or audit model ≠ [`model_for`](crate::model_for) of the declared
 /// [`HiLevel`](hi_core::HiLevel).
 ///
 /// # Errors
@@ -195,35 +164,13 @@ where
     S: EnumerableSpec,
     O: SimObject<S>,
 {
-    let imp = obj.implementation();
-    let roles = obj.roles();
-    assert_eq!(
-        roles.num_handles(),
-        imp.num_processes(),
-        "role discipline {roles:?} disagrees with the step machine's process count"
-    );
-    let audit = obj.hi_audit();
-    assert_eq!(
-        audit.model(),
-        model_for(obj.hi_level()),
-        "audit {audit:?} does not match the declared HI level {:?}",
-        obj.hi_level()
-    );
-    let workload: Workload<S> = sim_workload(obj.spec(), roles, cfg.ops_per_pid, cfg.seed);
+    let auditor = preflight(obj);
+    let workload: Workload<S> = sim_workload(obj.spec(), obj.roles(), cfg.ops_per_pid, cfg.seed);
     let ops = workload.remaining();
-    let exec = Executor::new(imp.clone());
+    let exec = Executor::new(obj.implementation().clone());
     let mut visitor = ExhaustiveVisitor {
         spec: obj.spec().clone(),
-        audit: match audit {
-            SimAudit::LinOnly => AuditState::None,
-            SimAudit::Monitor { model, oracle } => AuditState::Monitor {
-                monitor: HiMonitor::new(model),
-                oracle,
-            },
-            SimAudit::DirectCanonical { model, oracle } => {
-                AuditState::Direct(DirectCanonicalObserver::new(model, oracle))
-            }
-        },
+        auditor,
         lin_seen: HashSet::new(),
         linearized: 0,
         violation: None,
@@ -233,16 +180,7 @@ where
     if let Some(v) = visitor.violation {
         return Err(v);
     }
-    let (hi_points, audited, distinct_states) = match &visitor.audit {
-        AuditState::None => (0, false, 0),
-        AuditState::Monitor { monitor, .. } => {
-            (monitor.points(), true, monitor.canonical_map().len() as u64)
-        }
-        AuditState::Direct(observer) => (observer.points(), true, 0),
-    };
-    if audited && hi_points == 0 {
-        return Err("the exhaustive HI audit examined no observation point".to_string());
-    }
+    let hi_points = visitor.auditor.verdict()?;
     if stats.paths == 0 {
         return Err("the exploration executed no maximal path".to_string());
     }
@@ -250,8 +188,8 @@ where
         ops,
         stats,
         hi_points,
-        audited,
-        distinct_states,
+        audited: visitor.auditor.audited(),
+        distinct_states: visitor.auditor.distinct_states(),
         linearized: visitor.linearized,
     })
 }

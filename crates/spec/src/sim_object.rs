@@ -90,18 +90,17 @@
 //! assert!(report.audited && report.hi_points > 0 && report.ops > 0);
 //! ```
 
-use std::fmt;
-
 use hi_core::{
     handle_seed, menus_for, random_script, EnumerableSpec, HiLevel, ObjectSpec, Progress, Roles,
 };
-use hi_sim::{run_workload, Executor, Implementation, MemSnapshot, Seeded, StepObserver, Workload};
+use hi_sim::{Executor, FaultPlan, Implementation, MemSnapshot, Workload};
 
-use crate::hi::{single_mutator_state, HiMonitor, ObservationModel};
+use crate::audit::{run_plan, PlanRun};
+use crate::hi::{single_mutator_state, ObservationModel};
 use crate::lin::{linearize, LinOptions};
 
 /// A state oracle: the abstract state of the current configuration, for
-/// feeding an [`HiMonitor`].
+/// feeding an [`HiMonitor`](crate::HiMonitor).
 pub type StateOracle<S, I> = Box<dyn FnMut(&Executor<S, I>) -> <S as ObjectSpec>::State>;
 
 /// One direct-canonicity observation: the memory representation proper
@@ -130,8 +129,9 @@ pub enum SimAudit<S: ObjectSpec, I: Implementation<S>> {
     /// Linearizability only: the implementation fixes no canonical form
     /// ([`HiLevel::NotHi`]), so memory monitoring would be meaningless.
     LinOnly,
-    /// Same-state-same-memory monitoring ([`HiMonitor`]) at every point the
-    /// model permits, with the abstract state supplied by the oracle.
+    /// Same-state-same-memory monitoring ([`HiMonitor`](crate::HiMonitor))
+    /// at every point the model permits, with the abstract state supplied
+    /// by the oracle.
     Monitor {
         /// The observation model matching the object's [`HiLevel`].
         model: ObservationModel,
@@ -188,26 +188,6 @@ impl<S: ObjectSpec, I: Implementation<S>> SimAudit<S, I> {
         SimAudit::DirectCanonical {
             model,
             oracle: Box::new(move |snap: &MemSnapshot| view(snap)),
-        }
-    }
-
-    /// The observation model of the audit, if it audits at all.
-    pub fn model(&self) -> Option<ObservationModel> {
-        match self {
-            SimAudit::LinOnly => None,
-            SimAudit::Monitor { model, .. } | SimAudit::DirectCanonical { model, .. } => {
-                Some(*model)
-            }
-        }
-    }
-}
-
-impl<S: ObjectSpec, I: Implementation<S>> fmt::Debug for SimAudit<S, I> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimAudit::LinOnly => write!(f, "LinOnly"),
-            SimAudit::Monitor { model, .. } => write!(f, "Monitor({model:?})"),
-            SimAudit::DirectCanonical { model, .. } => write!(f, "DirectCanonical({model:?})"),
         }
     }
 }
@@ -294,70 +274,6 @@ pub struct SimObjectReport {
     pub final_snapshot: MemSnapshot,
 }
 
-/// The reusable direct-canonicity observer (the generalization of the
-/// registry's old hash-table-only `CanonicalSlotsObserver`): at every point
-/// its model permits, compares the oracle's observed representation against
-/// the canonical representation of the decoded state, keeping the first
-/// mismatch.
-pub struct DirectCanonicalObserver {
-    model: ObservationModel,
-    oracle: CanonicalOracle,
-    points: u64,
-    violation: Option<String>,
-}
-
-impl DirectCanonicalObserver {
-    /// Creates the observer.
-    pub fn new(model: ObservationModel, oracle: CanonicalOracle) -> Self {
-        DirectCanonicalObserver {
-            model,
-            oracle,
-            points: 0,
-            violation: None,
-        }
-    }
-
-    /// Number of permitted observation points examined.
-    pub fn points(&self) -> u64 {
-        self.points
-    }
-
-    /// The first canonicity violation found, if any.
-    pub fn violation(&self) -> Option<&str> {
-        self.violation.as_deref()
-    }
-
-    /// Converts the observer into a result: `Ok(points)` if every examined
-    /// point was canonical.
-    ///
-    /// # Errors
-    ///
-    /// The rendered first violation, if any.
-    pub fn into_result(self) -> Result<u64, String> {
-        match self.violation {
-            Some(v) => Err(v),
-            None => Ok(self.points),
-        }
-    }
-}
-
-impl<S: ObjectSpec, I: Implementation<S>> StepObserver<S, I> for DirectCanonicalObserver {
-    fn observe(&mut self, exec: &Executor<S, I>) {
-        if self.violation.is_some() || !self.model.permits(exec) {
-            return;
-        }
-        self.points += 1;
-        let view = (self.oracle)(&exec.snapshot());
-        if view.observed != view.canonical {
-            self.violation = Some(format!(
-                "at a permitted ({:?}) point, memory {:?} is not the canonical \
-                 representation {:?} of state {}",
-                self.model, view.observed, view.canonical, view.state
-            ));
-        }
-    }
-}
-
 /// The role-mirrored workload of a [`SimObject`] under `seed`: per-role
 /// scripts drawn from [`menus_for`] with [`random_script`] — byte-for-byte
 /// the generation the threaded driver uses for the twin scenario.
@@ -384,7 +300,9 @@ pub fn sim_workload<S: EnumerableSpec>(
 /// seeded scheduler, audits its history-independence promise per
 /// [`SimObject::hi_audit`], and checks the induced history linearizes
 /// against [`SimObject::spec`] — the simulator half of the registry's
-/// generic driver pair.
+/// generic driver pair. It is the fault-free case of
+/// [`run_fault_plan`](crate::run_fault_plan): the same audited run under the
+/// empty [`FaultPlan`].
 ///
 /// # Panics
 ///
@@ -406,60 +324,17 @@ where
     S: EnumerableSpec,
     O: SimObject<S>,
 {
-    let imp = obj.implementation();
-    let roles = obj.roles();
-    assert_eq!(
-        roles.num_handles(),
-        imp.num_processes(),
-        "role discipline {roles:?} disagrees with the step machine's process count"
-    );
-    let audit = obj.hi_audit();
-    assert_eq!(
-        audit.model(),
-        model_for(obj.hi_level()),
-        "audit {audit:?} does not match the declared HI level {:?}",
-        obj.hi_level()
-    );
-    let workload = sim_workload(obj.spec(), roles, ops_per_pid, seed);
-    let mut exec = Executor::new(imp.clone());
-    let mut sched = Seeded::new(seed);
-    let (hi_points, audited) = match audit {
-        SimAudit::LinOnly => {
-            run_workload(&mut exec, workload, &mut sched, &mut (), max_steps)
-                .map_err(|e| e.to_string())?;
-            (0, false)
-        }
-        SimAudit::Monitor { model, mut oracle } => {
-            let mut monitor = HiMonitor::new(model);
-            {
-                let mut observer = |e: &Executor<S, O::Machine>| {
-                    if monitor.model().permits(e) {
-                        let state = oracle(e);
-                        monitor.observe(e, state);
-                    }
-                };
-                run_workload(&mut exec, workload, &mut sched, &mut observer, max_steps)
-                    .map_err(|e| e.to_string())?;
-            }
-            let points = monitor.into_result().map_err(|v| v.to_string())?;
-            (points, true)
-        }
-        SimAudit::DirectCanonical { model, oracle } => {
-            let mut observer = DirectCanonicalObserver::new(model, oracle);
-            run_workload(&mut exec, workload, &mut sched, &mut observer, max_steps)
-                .map_err(|e| e.to_string())?;
-            (observer.into_result()?, true)
-        }
-    };
-    if audited && hi_points == 0 {
-        return Err("the HI audit examined no observation point".to_string());
-    }
+    let PlanRun {
+        exec, auditor, run, ..
+    } = run_plan(obj, &FaultPlan::none(), seed, ops_per_pid, max_steps);
+    run.map_err(|e| e.to_string())?;
+    let hi_points = auditor.verdict()?;
     linearize(exec.spec(), exec.history(), &LinOptions::default()).map_err(|e| e.to_string())?;
     Ok(SimObjectReport {
         ops: exec.history().records().len(),
         steps: exec.steps(),
         hi_points,
-        audited,
+        audited: auditor.audited(),
         final_snapshot: exec.snapshot(),
     })
 }
@@ -640,24 +515,69 @@ mod tests {
         assert_eq!(report.hi_points, 0);
     }
 
+    /// Runs `obj` through every lane that takes a [`SimObject`] — seeded,
+    /// fault plan (empty and with a reader crash) and exhaustive — and
+    /// asserts each fails with an error naming `expected`.
+    fn assert_every_lane_fails(obj: &LeakyRegister, expected: &str) {
+        let faults = crate::FaultSweepConfig::new(11, OPS, 100_000);
+        let lanes = [
+            ("seeded", check_sim_object(obj, 11, OPS, 100_000).map(drop)),
+            (
+                "empty plan",
+                crate::run_fault_plan(obj, &FaultPlan::none(), &faults, 100_000).map(drop),
+            ),
+            (
+                "crash plan",
+                crate::run_fault_plan(obj, &FaultPlan::crash(Pid(1), 3), &faults, 100_000)
+                    .map(drop),
+            ),
+            (
+                "exhaustive",
+                crate::check_sim_object_exhaustive(obj, &crate::ExhaustiveConfig::new(11, 2))
+                    .map(drop),
+            ),
+        ];
+        for (lane, result) in lanes {
+            let err = result.expect_err(lane);
+            assert!(
+                err.contains(expected),
+                "{lane}: expected {expected:?}, got: {err}"
+            );
+        }
+    }
+
     #[test]
     fn monitor_audit_catches_the_leak() {
         let obj = LeakyRegister::new(2, HiLevel::StateQuiescent, false);
-        let err = check_sim_object(&obj, 11, OPS, 100_000).unwrap_err();
-        assert!(
-            err.contains("representations"),
-            "expected an HI violation, got: {err}"
-        );
+        assert_every_lane_fails(&obj, "observed with two memory representations");
     }
 
     #[test]
     fn direct_canonical_audit_catches_the_leak() {
         let obj = LeakyRegister::new(2, HiLevel::StateQuiescent, true);
-        let err = check_sim_object(&obj, 11, OPS, 100_000).unwrap_err();
-        assert!(
-            err.contains("not the canonical representation"),
-            "expected a canonicity violation, got: {err}"
-        );
+        assert_every_lane_fails(&obj, "is not the canonical representation");
+    }
+
+    #[test]
+    fn check_run_catches_the_leak() {
+        // `check_run` audits through a state oracle only, so this is the
+        // monitor control; its violation stays typed.
+        let obj = LeakyRegister::new(2, HiLevel::StateQuiescent, false);
+        let workload = sim_workload(&obj.spec, obj.roles(), OPS, 11);
+        let err = crate::check_run_single_mutator(
+            &obj,
+            workload,
+            &mut hi_sim::Seeded::new(11),
+            ObservationModel::StateQuiescent,
+            100_000,
+        )
+        .unwrap_err();
+        let crate::CheckError::Hi(v) = err else {
+            panic!("expected an HI violation, got: {err}");
+        };
+        assert!(v
+            .to_string()
+            .contains("observed with two memory representations"));
     }
 
     #[test]

@@ -116,6 +116,25 @@ fn registry_certifies_exhaustively() {
         if report.audited {
             assert!(report.hi_points > 0, "{name}: vacuous HI audit");
         }
+        // The universal and hashtable entries are pinned by their own
+        // tests below; every other entry is pinned here.
+        let own_test = name.starts_with("universal/") || name.starts_with("hashtable/");
+        if seed == 7 && !own_test {
+            let pinned = OTHER_PINNED
+                .iter()
+                .find(|p| p.0 == name)
+                .unwrap_or_else(|| panic!("{name}: no certification pin"));
+            assert_eq!(
+                (
+                    s.certified_paths,
+                    s.distinct_configs,
+                    report.hi_points,
+                    report.linearized
+                ),
+                (pinned.1, pinned.2, pinned.3, pinned.4),
+                "{name}: (certified_paths, distinct_configs, hi_points, linearized) moved"
+            );
+        }
         let scenario = registry()
             .into_iter()
             .find(|s| s.name == name)
@@ -132,6 +151,22 @@ fn registry_certifies_exhaustively() {
     )
     .expect("write summary.json");
 }
+
+/// The certification at the default seed 7 of every scenario that
+/// `universal_certification_is_pinned` and
+/// `hashtable_certification_is_pinned` do not cover:
+/// (name, certified_paths, distinct_configs, hi_points, linearized). A
+/// change to the explorer, the auditor or a step machine that alters the
+/// model shows up here as a reviewed diff.
+const OTHER_PINNED: [(&str, u64, u64, u64, u64); 7] = [
+    ("register/vidyasankar-k5", 786, 481, 0, 70),
+    ("register/lockfree-hi-k5", 786, 481, 319, 70),
+    ("register/waitfree-hi-k5", 21_595_707, 6_155, 156, 102),
+    ("queue/positional-t3", 606, 494, 319, 70),
+    ("register/max-k6", 358, 350, 319, 70),
+    ("set/hi-t6-n3", 70, 181, 250, 70),
+    ("llsc/packed-v8-n3", 70, 181, 250, 70),
+];
 
 /// The report documents' fields, order and values are pinned: a fixed
 /// pair of reports renders to the committed golden summary.
