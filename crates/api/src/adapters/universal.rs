@@ -1,7 +1,11 @@
 //! [`ConcurrentObject`] adapter for the universal construction
 //! (Algorithm 5): any enumerable object, wait-free and state-quiescent HI.
+//! Its metadata is its simulator twin's (`SimUniversal`), whose memory
+//! layout the threaded backend runs on.
 
 use hi_core::EnumerableSpec;
+use hi_sim::Implementation;
+use hi_spec::SimObject;
 use hi_universal::{AtomicUniversal, UniversalHandle};
 
 use crate::object::{ConcurrentObject, HiLevel, ObjectHandle, Progress, Roles};
@@ -35,11 +39,6 @@ impl<S: EnumerableSpec> UniversalObject<S> {
     pub fn backend(&self) -> &AtomicUniversal<S> {
         &self.u
     }
-
-    fn is_hi(&self) -> bool {
-        // `without_release` drops the clearing that buys HI.
-        self.u.releases()
-    }
 }
 
 /// Per-process handle of [`UniversalObject`]; every handle may invoke every
@@ -61,44 +60,32 @@ impl<S: EnumerableSpec> ObjectHandle<S> for UniversalObjectHandle<'_, S> {
 
 impl<S> ConcurrentObject<S> for UniversalObject<S>
 where
-    S: EnumerableSpec + Send + Sync,
+    S: EnumerableSpec + Send + Sync + 'static,
     S::State: Send + Sync,
     S::Op: Send + Sync,
     S::Resp: Send + Sync,
 {
-    type Handle<'a>
-        = UniversalObjectHandle<'a, S>
-    where
-        S: 'a;
+    type Handle<'a> = UniversalObjectHandle<'a, S>;
 
     fn spec(&self) -> &S {
-        self.u.spec()
+        Implementation::spec(self.u.sim())
     }
 
     fn roles(&self) -> Roles {
-        Roles::MultiProcess { n: self.u.n() }
+        SimObject::roles(self.u.sim())
     }
 
     fn progress(&self) -> Progress {
-        // Announce-and-help: every process helps the whole announce array
-        // before swinging the head, with or without the release step.
-        Progress::Helping
+        SimObject::progress(self.u.sim())
     }
 
     fn hi_level(&self) -> HiLevel {
-        if self.u.releases() {
-            HiLevel::StateQuiescent
-        } else {
-            HiLevel::NotHi
-        }
+        SimObject::hi_level(self.u.sim())
     }
 
     fn handles(&mut self) -> Vec<UniversalObjectHandle<'_, S>> {
-        self.u
-            .handles()
-            .into_iter()
-            .map(|h| UniversalObjectHandle { h })
-            .collect()
+        let handles = self.u.handles().into_iter();
+        handles.map(|h| UniversalObjectHandle { h }).collect()
     }
 
     fn mem_snapshot(&self) -> Vec<u64> {
@@ -106,7 +93,7 @@ where
     }
 
     fn canonical(&self, state: &S::State) -> Option<Vec<u64>> {
-        self.is_hi().then(|| self.u.canonical(state))
+        self.hi_level().auditable().then(|| self.u.canonical(state))
     }
 
     fn abstract_state(&self) -> S::State {

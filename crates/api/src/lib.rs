@@ -18,9 +18,9 @@
 //!   register algorithms, the positional HI queue, the releasable LL/SC
 //!   word, and the universal construction over any
 //!   [`EnumerableSpec`](hi_core::EnumerableSpec).
-//! * [`threaded`] — the one generic threaded handle of the register, set
-//!   and queue adapters: the simulator's certified step machines, run on
-//!   an [`AtomicMem`](hi_sim::AtomicMem) arena.
+//! * [`threaded`] — the one generic threaded handle of the register, set,
+//!   queue and LL/SC adapters: the simulator's certified step machines,
+//!   run on an [`AtomicMem`](hi_sim::AtomicMem) arena.
 //! * [`drive`](crate::drive()) — a generic threaded stress driver: random
 //!   role-respecting workload in, linearizability verdict plus quiescent
 //!   memory audit out.

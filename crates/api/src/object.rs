@@ -133,7 +133,7 @@ pub struct MaintenanceSnapshot {
 ///
 /// Every threaded backend in this workspace implements this trait via an
 /// adapter in [`crate::adapters`], which is what lets the generic driver
-/// ([`crate::drive`]) and the scenario registry ([`crate::registry`]) treat
+/// ([`crate::drive()`]) and the scenario registry ([`crate::registry()`]) treat
 /// Algorithm 1 registers and the Algorithm 5 universal object identically.
 ///
 /// # Example

@@ -6,7 +6,7 @@
 //! Every [`Scenario`] is built by one generic constructor ([`Scenario::of`])
 //! from a name, a description and the two constructors; the threaded run,
 //! the sim check and the throughput run all derive from the same generic
-//! driver pair ([`crate::drive`] / [`hi_spec::check_sim_object`]) and the
+//! driver pair ([`crate::drive()`] / [`hi_spec::check_sim_object`]) and the
 //! same role-aware workload generation ([`hi_core::menus_for`]), so the two
 //! worlds are workload-mirrored *by construction* — there is no per-family
 //! driver or menu glue to keep in sync. Adding a workload is one registry
@@ -230,7 +230,7 @@ impl Scenario {
         &self.sim_meta
     }
 
-    /// Drives the threaded backend through [`drive`]: random role-aware
+    /// Drives the threaded backend through [`drive()`](crate::drive()): random role-aware
     /// workload, linearizability check, quiescent memory audit.
     ///
     /// # Errors

@@ -1,11 +1,13 @@
-//! The threaded world of the register, set and queue scenarios: a simulator
-//! implementation's own step machines, run on real threads.
+//! The threaded world of the register, set, queue and LL/SC scenarios: a
+//! simulator implementation's own step machines, run on real threads.
 //!
 //! [`Machines`] holds an [`AtomicMem`] built from the implementation's
-//! `init_memory()` plus one persistent process machine per pid, made by
-//! `make_process`, and reads the arena through the implementation's
-//! [`Layout`]. A [`MachineHandle`] applies an operation as `invoke`,
-//! then `step` until the machine responds, each step one atomic primitive.
+//! `init_memory()` (byte cells for the registers, set and queue, word cells
+//! for the R-LLSC word) plus one persistent process machine per pid, made
+//! by `make_process`, and reads the arena through the implementation's
+//! [`Layout`]. A [`MachineHandle`] applies an operation as `invoke`, then
+//! `step` until the machine responds, each step one atomic primitive on the
+//! arena's [`Cells`](hi_sim::Cells) view, taken once per operation.
 //! So the code the model checker, the fault sweep and the lower-bound
 //! adversaries certify is the code the adapters ship, on the same memory
 //! layout, and the machines' local state (Algorithm 4's `last-val`, the max
@@ -72,9 +74,9 @@ pub struct MachineHandle<'a, S, P> {
 impl<S: ObjectSpec, P: ProcessHandle<S>> ObjectHandle<S> for MachineHandle<'_, S, P> {
     fn apply(&mut self, op: S::Op) -> S::Resp {
         self.process.invoke(op);
-        let mut mem = self.mem;
+        let mut cells = self.mem.cells();
         loop {
-            if let Some(resp) = self.process.step(&mut mem) {
+            if let Some(resp) = self.process.step(&mut cells) {
                 return resp;
             }
         }
@@ -156,8 +158,19 @@ where
         self.sim.canonical_image(state)
     }
 
+    /// # Panics
+    ///
+    /// If an HI object's memory decodes to a state with no canonical image
+    /// (an LL/SC word whose value or context lies outside the spec): such a
+    /// memory is corrupt at any observation point.
     fn abstract_state(&self) -> S::State {
-        self.sim.state_of(&self.mem.snapshot())
+        let mem = self.mem.snapshot();
+        let state = self.sim.state_of(&mem);
+        assert!(
+            !self.hi_level().auditable() || self.sim.canonical_image(&state).is_some(),
+            "memory corrupt: {mem:?} decodes to {state:?}, which has no canonical image"
+        );
+        state
     }
 }
 
@@ -231,11 +244,12 @@ mod tests {
         RegisterOp, RegisterResp, SetOp, SetResp, SetSpec,
     };
     use hi_core::ObjectSpec;
-    use hi_sim::ProcessHandle;
+    use hi_llsc::{RLlscOp, RLlscResp, RLlscSpec};
+    use hi_sim::{CellId, Cells, ProcessHandle};
 
     use crate::adapters::{
-        HiSetObject, LockFreeHiObject, MaxRegisterObject, QueueObject, VidyasankarObject,
-        WaitFreeHiObject,
+        HiSetObject, LlscObject, LockFreeHiObject, MaxRegisterObject, QueueObject,
+        VidyasankarObject, WaitFreeHiObject,
     };
     use crate::object::{ConcurrentObject, ObjectHandle};
     use crate::threaded::Machines;
@@ -535,14 +549,123 @@ mod tests {
         // written through the previous handles() call.
         let Machines { mem, procs, .. } = &mut reg.0;
         procs[1].0.invoke(Read);
-        assert!(procs[1].0.step(&mut &*mem).is_none(), "flag[1] <- 1");
+        let step = procs[1].0.step(&mut mem.cells());
+        assert!(step.is_none(), "flag[1] <- 1");
         reg.handles()[0].apply(Write(2));
         assert_eq!(reg.mem_snapshot()[k as usize + 2], 1, "B[3] is set");
         let Machines { mem, procs, .. } = &mut reg.0;
-        let resp = std::iter::repeat_with(|| procs[1].0.step(&mut &*mem))
+        let resp = std::iter::repeat_with(|| procs[1].0.step(&mut mem.cells()))
             .flatten()
             .next();
         assert_eq!(resp, Some(Value(2)));
         assert_eq!(Some(reg.mem_snapshot()), reg.canonical(&2));
+    }
+
+    /// An R-LLSC object over 16-bit values for `n` processes.
+    fn llsc(n: usize) -> LlscObject {
+        LlscObject::new(RLlscSpec::new(1 << 16, 0, n))
+    }
+
+    #[test]
+    fn sc_fails_after_interfering_store() {
+        let mut x = llsc(2);
+        let mut h = x.handles();
+        assert_eq!(h[0].apply(RLlscOp::Ll { pid: 0 }), RLlscResp::Val(0));
+        h[1].apply(RLlscOp::Store { new: 5 });
+        assert_eq!(
+            h[0].apply(RLlscOp::Sc { pid: 0, new: 9 }),
+            RLlscResp::Bool(false)
+        );
+        assert_eq!(h[1].apply(RLlscOp::Load), RLlscResp::Val(5));
+    }
+
+    #[test]
+    fn rl_erases_context_bit() {
+        let mut x = llsc(3);
+        let mut h = x.handles();
+        h[1].apply(RLlscOp::Ll { pid: 1 });
+        assert_eq!(h[1].apply(RLlscOp::Vl { pid: 1 }), RLlscResp::Bool(true));
+        h[1].apply(RLlscOp::Rl { pid: 1 });
+        assert_eq!(h[1].apply(RLlscOp::Vl { pid: 1 }), RLlscResp::Bool(false));
+        drop(h);
+        assert_eq!(
+            Some(x.mem_snapshot()),
+            x.canonical(&(0, 0)),
+            "no trace of the released link"
+        );
+    }
+
+    /// Steps process `pid` of `x` once on its arena.
+    fn step(x: &mut LlscObject, pid: usize) -> Option<RLlscResp> {
+        let Machines { mem, procs, .. } = &mut x.0;
+        procs[pid].0.step(&mut mem.cells())
+    }
+
+    #[test]
+    fn attempt_variants_report_interference() {
+        let mut x = llsc(2);
+        x.handles()[0].apply(RLlscOp::Ll { pid: 0 });
+        x.0.procs[1].0.invoke(RLlscOp::Sc { pid: 1, new: 3 });
+        let unlinked = Some(RLlscResp::Bool(false));
+        assert_eq!(step(&mut x, 1), unlinked, "fails definitively on its read");
+        x.0.procs[0].0.invoke(RLlscOp::Sc { pid: 0, new: 3 });
+        assert_eq!(step(&mut x, 0), None, "read: linked");
+        x.handles()[1].apply(RLlscOp::Store { new: 2 });
+        assert_eq!(step(&mut x, 0), None, "the CAS met the store: retry");
+        assert_eq!(step(&mut x, 0), unlinked, "the re-read finds no link");
+        let mut h = x.handles();
+        h[0].apply(RLlscOp::Ll { pid: 0 });
+        let sc = h[0].apply(RLlscOp::Sc { pid: 0, new: 3 });
+        assert_eq!(sc, RLlscResp::Bool(true));
+        assert_eq!(h[1].apply(RLlscOp::Load), RLlscResp::Val(3));
+    }
+
+    #[test]
+    fn concurrent_sc_at_most_one_winner() {
+        // n threads all LL then SC; exactly one SC per round may win.
+        let n = 4;
+        let mut x = llsc(n);
+        let wins: Vec<u64> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..n)
+                .zip(x.handles())
+                .map(|(pid, mut h)| {
+                    s.spawn(move || {
+                        let mut wins = 0u64;
+                        for round in 0..1_000u64 {
+                            h.apply(RLlscOp::Ll { pid });
+                            let new = round % 7;
+                            if h.apply(RLlscOp::Sc { pid, new }) == RLlscResp::Bool(true) {
+                                wins += 1;
+                            }
+                        }
+                        wins
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let total: u64 = wins.iter().sum();
+        assert!(total >= 1, "lock-freedom: someone must win");
+        assert!(total <= 4_000);
+        assert_eq!(
+            x.abstract_state().1,
+            0,
+            "all contexts eventually cleared or consumed"
+        );
+    }
+
+    #[test]
+    fn out_of_domain_words_are_corrupt() {
+        // A 3-bit value field holds 0..8 but the spec only 0..5: the cell's
+        // domain check lets a 6 in, and both audits must reject it.
+        let mut x = LlscObject::new(RLlscSpec::new(5, 0, 2));
+        x.0.mem.cells().write(CellId(0), 6);
+        let probe = x.handles_with_probe().1.expect("a perfect-HI probe");
+        assert!(!probe.sample().canonical);
+        drop(probe);
+        let panic = catch_unwind(AssertUnwindSafe(|| x.abstract_state()));
+        let msg = panic.expect_err("a corrupt word must not decode");
+        let msg = msg.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.starts_with("memory corrupt: [6]"), "{msg}");
     }
 }

@@ -1,5 +1,6 @@
-//! Algorithm 6 primitive costs: LL / VL / SC / RL / Load / Store on the
-//! packed `AtomicU64` R-LLSC, solo and under contention.
+//! Algorithm 6 primitive costs: LL / VL / SC / RL / Load / Store through
+//! `LlscObject` handles (the certified step machine on an `AtomicU64`
+//! arena word), solo and under contention.
 //!
 //! Shape to reproduce: Load/VL/Store are single atomic ops; LL/SC/RL are a
 //! read + CAS when uncontended; under contention LL/SC retry (lock-free, not
@@ -7,41 +8,53 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use hi_api::{ConcurrentObject, LlscObject, ObjectHandle};
 use hi_bench::Group;
-use hi_llsc::{LlscLayout, PackedRLlsc};
+use hi_llsc::{RLlscOp, RLlscSpec};
+
+/// 32-bit values, 8 processes.
+fn object() -> LlscObject {
+    LlscObject::new(RLlscSpec::new(1 << 32, 0, 8))
+}
 
 fn main() {
     let group = Group::new("llsc_solo");
-    let x = PackedRLlsc::new(LlscLayout::new(32, 8), 0);
-    group.bench("load", || x.load());
-    group.bench("vl", || x.vl(0));
-    group.bench("store", || x.store(7));
+    let mut x = object();
+    let mut h = x.handles().swap_remove(0);
+    group.bench("load", || h.apply(RLlscOp::Load));
+    group.bench("vl", || h.apply(RLlscOp::Vl { pid: 0 }));
+    group.bench("store", || h.apply(RLlscOp::Store { new: 7 }));
     group.bench("ll_rl", || {
-        x.ll(0);
-        x.rl(0)
+        h.apply(RLlscOp::Ll { pid: 0 });
+        h.apply(RLlscOp::Rl { pid: 0 })
     });
     group.bench("ll_sc", || {
-        x.ll(0);
-        x.sc(0, 9)
+        h.apply(RLlscOp::Ll { pid: 0 });
+        h.apply(RLlscOp::Sc { pid: 0, new: 9 })
     });
 
     let group = Group::new("llsc_contended").samples(15);
     for threads in [2usize, 4] {
-        let x = PackedRLlsc::new(LlscLayout::new(32, 8), 0);
+        let mut x = object();
+        let mut handles = x.handles().into_iter().enumerate();
+        let (_, mut h) = handles.next().expect("handle 0");
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            for pid in 1..threads {
-                let (x, stop) = (&x, &stop);
+            for (pid, mut h) in handles.take(threads - 1) {
+                let stop = &stop;
                 s.spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        x.ll(pid);
-                        x.sc(pid, pid as u64);
+                        h.apply(RLlscOp::Ll { pid });
+                        h.apply(RLlscOp::Sc {
+                            pid,
+                            new: pid as u64,
+                        });
                     }
                 });
             }
             group.bench(format!("ll_sc_interference/{threads}"), || {
-                x.ll(0);
-                x.sc(0, 42)
+                h.apply(RLlscOp::Ll { pid: 0 });
+                h.apply(RLlscOp::Sc { pid: 0, new: 42 })
             });
             stop.store(true, Ordering::Relaxed);
         });

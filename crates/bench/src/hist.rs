@@ -3,7 +3,7 @@
 //! extraction with a bounded relative error.
 //!
 //! The bucketing is the classic "floating point" scheme (HdrHistogram's
-//! coarse cousin): [`SUB_BITS`] sub-buckets per power of two, so every
+//! coarse cousin): `SUB_BITS` sub-buckets per power of two, so every
 //! bucket spans at most a `1 + 2^-SUB_BITS` ratio and any reported
 //! quantile is within 12.5% of the true value — plenty for p50/p99/p999
 //! tail tracking, with the whole `u64` range covered by

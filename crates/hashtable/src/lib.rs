@@ -2,7 +2,7 @@
 #![warn(missing_docs)]
 //! A phase-concurrent history-independent hash table, after Shun and
 //! Blelloch — the only prior work on concurrent history independence the
-//! paper identifies (§1, related work, reference [42]).
+//! paper identifies (§1, related work, reference \[42\]).
 //!
 //! The table stores keys by linear probing with the **Robin Hood** rule and
 //! a deterministic tie-break, which makes the layout a *function of the key
@@ -12,7 +12,7 @@
 //! Hartline et al. characterization the paper builds on).
 //!
 //! *Phase-concurrent* means only operations of the same type run
-//! concurrently (the restriction the paper points out in [42]): the
+//! concurrently (the restriction the paper points out in \[42\]): the
 //! [`phase::AtomicHashTable`] allows a concurrent **insert phase** and a
 //! concurrent **lookup phase**; deletions are a sequential phase
 //! (backward-shift deletion, canonical again afterwards). The paper's own

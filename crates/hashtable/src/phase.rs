@@ -19,7 +19,7 @@ const ORD: Ordering = Ordering::SeqCst;
 /// The phase-concurrent HI hash set. Within one phase, any number of
 /// threads may call the phase's operation concurrently; phases are switched
 /// by the single owner of the `&mut` reference (the *phase-concurrent*
-/// discipline of [42]).
+/// discipline of \[42\]).
 #[derive(Debug)]
 pub struct AtomicHashTable {
     slots: Box<[AtomicU32]>,
@@ -147,7 +147,7 @@ impl AtomicHashTable {
     /// Lookup-phase operation: membership test, callable concurrently.
     ///
     /// Sound only within a lookup phase (no concurrent inserts/deletes),
-    /// exactly the same-type restriction the paper describes for [42].
+    /// exactly the same-type restriction the paper describes for \[42\].
     pub fn contains(&self, key: u32) -> bool {
         assert!(key != 0);
         let cap = self.slots.len();

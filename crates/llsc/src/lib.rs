@@ -16,22 +16,19 @@
 //! hence lock-free, not wait-free; Algorithm 5 recovers wait-freedom at the
 //! layer above (Lemmas 29–31).
 //!
-//! Three views are provided:
+//! Two views are provided:
 //!
 //! * [`RLlscSpec`] — the abstract object `(Q, q0, O, R, Δ)`, for the
 //!   linearizability checker.
-//! * [`SimRLlsc`] / [`LlscOp`] — simulator step machines; [`LlscOp`] is a
-//!   *sub*-machine that `hi-universal` embeds inside Algorithm 5's apply
-//!   loop.
-//! * [`PackedRLlsc`] — the threaded `AtomicU64` backend, with single-attempt
-//!   variants (`ll_attempt`) for Algorithm 5's `||` interleavings.
+//! * [`SimRLlsc`] / [`LlscOp`] — the step machines, Algorithm 6's one
+//!   text. [`LlscOp`] is a *sub*-machine that `hi-universal` embeds inside
+//!   Algorithm 5's apply loop, in the simulator and on threads alike;
+//!   `hi_api::LlscObject` runs [`SimRLlsc`] on an `hi_sim::AtomicMem` word.
 
 pub mod pack;
 pub mod sim;
 pub mod spec;
-pub mod threaded;
 
 pub use pack::LlscLayout;
 pub use sim::{LlscOp, LlscResult, SimRLlsc, SimRLlscProcess};
 pub use spec::{RLlscOp, RLlscResp, RLlscSpec};
-pub use threaded::PackedRLlsc;

@@ -58,6 +58,7 @@ impl LlscLayout {
         (bits < 64).then(|| 1u64 << bits)
     }
 
+    #[inline]
     fn val_mask(&self) -> u64 {
         if self.val_bits == 64 {
             u64::MAX
@@ -66,6 +67,7 @@ impl LlscLayout {
         }
     }
 
+    #[inline]
     fn pid_bit(&self, pid: usize) -> u64 {
         assert!(pid < self.n, "pid {pid} out of range (n = {})", self.n);
         1u64 << (self.val_bits as usize + pid)
@@ -76,6 +78,7 @@ impl LlscLayout {
     /// # Panics
     ///
     /// Panics if `val` or `context` overflow their fields.
+    #[inline]
     pub fn pack(&self, val: u64, context: u64) -> u64 {
         assert!(
             val <= self.val_mask(),
@@ -91,32 +94,38 @@ impl LlscLayout {
     }
 
     /// The value field of a cell.
+    #[inline]
     pub fn val(&self, cell: u64) -> u64 {
         cell & self.val_mask()
     }
 
     /// The context field of a cell, as a bitmask over pids.
+    #[inline]
     pub fn context(&self, cell: u64) -> u64 {
         cell >> self.val_bits
     }
 
     /// Whether `pid` is in the cell's context.
+    #[inline]
     pub fn has(&self, cell: u64, pid: usize) -> bool {
         cell & self.pid_bit(pid) != 0
     }
 
     /// The cell with `pid` added to the context.
+    #[inline]
     pub fn with_pid(&self, cell: u64, pid: usize) -> u64 {
         cell | self.pid_bit(pid)
     }
 
     /// The cell with `pid` removed from the context.
+    #[inline]
     pub fn without_pid(&self, cell: u64, pid: usize) -> u64 {
         cell & !self.pid_bit(pid)
     }
 
     /// A cell holding `val` with an empty context (the result of `SC` and
     /// `Store`).
+    #[inline]
     pub fn reset(&self, val: u64) -> u64 {
         self.pack(val, 0)
     }

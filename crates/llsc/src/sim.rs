@@ -7,7 +7,7 @@
 
 use hi_core::{HiLevel, Pid, Progress, Roles};
 use hi_sim::{CellDomain, CellId, Cells, Implementation, ProcessHandle, SharedMem};
-use hi_spec::{ObservationModel, SimAudit, SimObject};
+use hi_spec::{Layout, ObservationModel, SimAudit, SimObject};
 
 use crate::pack::LlscLayout;
 use crate::spec::{RLlscOp, RLlscResp, RLlscSpec};
@@ -27,6 +27,7 @@ impl LlscResult {
     /// # Panics
     ///
     /// Panics on a boolean result.
+    #[inline]
     pub fn val(self) -> u64 {
         match self {
             LlscResult::Val(v) => v,
@@ -39,6 +40,7 @@ impl LlscResult {
     /// # Panics
     ///
     /// Panics on a value result.
+    #[inline]
     pub fn bool(self) -> bool {
         match self {
             LlscResult::Bool(b) => b,
@@ -161,7 +163,10 @@ impl LlscOp {
     }
 
     /// Advances the operation by one primitive. Returns the result when the
-    /// operation completes.
+    /// operation completes. A CAS that meets interference starts the
+    /// operation over with a [`backoff`](Cells::backoff) hint, so the next
+    /// step re-reads.
+    #[inline(always)]
     pub fn step(&mut self, layout: &LlscLayout, ctx: &mut impl Cells) -> Option<LlscResult> {
         match self {
             LlscOp::Ll { pid, cell, cur } => match cur.take() {
@@ -173,6 +178,7 @@ impl LlscOp {
                     if ctx.cas(*cell, old, layout.with_pid(old, *pid)) {
                         Some(LlscResult::Val(layout.val(old)))
                     } else {
+                        ctx.backoff();
                         None // re-read on the next step
                     }
                 }
@@ -200,6 +206,7 @@ impl LlscOp {
                     if ctx.cas(*cell, old, layout.reset(*new_val)) {
                         Some(LlscResult::Bool(true))
                     } else {
+                        ctx.backoff();
                         None
                     }
                 }
@@ -218,6 +225,7 @@ impl LlscOp {
                     if ctx.cas(*cell, old, layout.without_pid(old, *pid)) {
                         Some(LlscResult::Bool(true))
                     } else {
+                        ctx.backoff();
                         None
                     }
                 }
@@ -288,6 +296,7 @@ pub struct SimRLlscProcess {
 }
 
 impl ProcessHandle<RLlscSpec> for SimRLlscProcess {
+    #[inline]
     fn invoke(&mut self, op: RLlscOp) {
         assert!(self.pending.is_none(), "operation already pending");
         if let Some(pid) = op.pid() {
@@ -310,6 +319,7 @@ impl ProcessHandle<RLlscSpec> for SimRLlscProcess {
         self.pending.is_none()
     }
 
+    #[inline]
     fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RLlscResp> {
         let op = self.pending.as_mut().expect("step of idle process");
         match op.step(&self.layout, ctx) {
@@ -353,6 +363,20 @@ impl Implementation<RLlscSpec> for SimRLlsc {
             layout: self.layout,
             pending: None,
         }
+    }
+}
+
+impl Layout<RLlscSpec> for SimRLlsc {
+    /// The packing of `(val, context)`. A pair outside the domain (a value
+    /// past `0..v`, or context bits beyond the `n` processes) has none, so
+    /// a word holding one never passes as canonical.
+    fn canonical_image(&self, &(val, ctx): &(u64, u64)) -> Option<Vec<u64>> {
+        let in_domain = val < self.spec.v() && ctx < 1 << self.spec.n();
+        in_domain.then(|| vec![self.layout.pack(val, ctx)])
+    }
+
+    fn state_of(&self, mem: &[u64]) -> (u64, u64) {
+        self.decode(mem)
     }
 }
 

@@ -193,6 +193,7 @@ impl ProcessHandle<BoundedQueueSpec> for PositionalQueueProcess {
         self.mpc == MutPc::Idle && self.rpc == ReadPc::Idle
     }
 
+    #[inline]
     fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<QueueResp> {
         if self.is_mutator {
             self.step_mutator(ctx)

@@ -66,6 +66,7 @@ impl ProcessHandle<SetSpec> for HiSetProcess {
         self.pending.is_none()
     }
 
+    #[inline]
     fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<SetResp> {
         match self.pending.take().expect("step of idle process") {
             SetOp::Insert(e) => {

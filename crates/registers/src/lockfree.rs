@@ -83,6 +83,7 @@ impl ProcessHandle<MultiRegisterSpec> for LockFreeHiProcess {
         self.pc == Pc::Idle
     }
 
+    #[inline]
     fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
         match self.pc {
             Pc::Idle => panic!("step of idle process"),

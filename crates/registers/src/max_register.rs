@@ -92,6 +92,7 @@ impl ProcessHandle<MaxRegisterSpec> for MaxRegisterProcess {
         self.pc == Pc::Idle && !self.trivial_ack
     }
 
+    #[inline]
     fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
         if self.trivial_ack {
             self.trivial_ack = false;

@@ -312,6 +312,7 @@ impl ProcessHandle<MultiRegisterSpec> for WaitFreeHiProcess {
         self.wpc == WPc::Idle && self.rpc == RPc::Idle
     }
 
+    #[inline]
     fn step<C: Cells>(&mut self, ctx: &mut C) -> Option<RegisterResp> {
         match self.role {
             Role::Writer => self.step_writer(ctx),

@@ -7,18 +7,18 @@
 //! dispatch, explicit backpressure, periodic drain-barrier HI audits, and
 //! tail-latency observability.
 //!
-//! The conformance driver ([`hi_api::drive`]) answers *"is the object
+//! The conformance driver ([`hi_api::drive`](fn@hi_api::drive)) answers *"is the object
 //! correct under adversarial interleavings?"*; this crate answers the
 //! complementary service-shaped question: *"does the history-independence
 //! guarantee survive sustained, skewed, bursty production-like load — and
 //! what does its tail latency look like?"*. Concretely:
 //!
-//! * [`service`] — the runner: [`run_soak`](service::run_soak) drives an
+//! * [`service`] — the runner: [`service::run_soak`] drives an
 //!   object through epochs of sharded client load, bringing it
 //!   state-quiescent at every epoch boundary (a *drain barrier*) so the
 //!   `mem(C) == canonical(state)` audit runs mid-soak; quiescence at the
 //!   barrier is enforced by the borrow checker, not by timing.
-//!   [`soak_watchdogged`](service::soak_watchdogged) wraps a whole soak in
+//!   [`service::soak_watchdogged`] wraps a whole soak in
 //!   the deadline watchdog so wedges fail structured in CI.
 //! * [`soak`] — the registry: named scenarios pairing objects with load
 //!   shapes (uniform / Zipfian / bursty), iterated by the soak suites, the

@@ -16,7 +16,7 @@
 //!
 //! One deliberate simplification versus the threaded backend: updates
 //! here always take the migration path (snapshot the arena cell by cell,
-//! plan with [`rewrite_plan`](crate::resize::rewrite_plan), write the
+//! plan with [`crate::resize::rewrite_plan`], write the
 //! difference) instead of branching into the carry and backward-shift fast
 //! paths. Off-boundary, the plan emits exactly the fast paths' writes in
 //! exactly their order (pinned by `off_boundary_plans_equal_the_fast_paths`

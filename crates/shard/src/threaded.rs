@@ -52,7 +52,7 @@
 //! * **Online resize.** When an update crosses a capacity boundary it
 //!   migrates the shard *before* finishing: it snapshots the arena,
 //!   computes the target canonical image at the new capacity, and applies
-//!   [`rewrite_plan`](crate::resize::rewrite_plan)'s never-absent write
+//!   [`crate::resize::rewrite_plan`]'s never-absent write
 //!   order, then publishes the new `cap`. Lookups running through the
 //!   migration can still sight every surviving key; absent verdicts retry
 //!   because `seq` is odd. Off-boundary updates take the O(probe-run)

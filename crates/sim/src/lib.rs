@@ -15,9 +15,10 @@
 //!   *step machines*: each call to [`ProcessHandle::step`] performs at most
 //!   one primitive (enforced by [`MemCtx`]).
 //! * [`Cells`] / [`AtomicMem`] — the primitives a step machine is written
-//!   against, and the atomic arena (one byte per cell) that runs the same
-//!   machine on real threads (the register, set and queue families ship
-//!   this way).
+//!   against, and the atomic arena (one byte per cell, or one word when a
+//!   domain needs it) that runs the same machine on real threads (the
+//!   register, set, queue and LL/SC objects ship this way, and the
+//!   universal construction's hand loop runs on one).
 //! * [`Executor`] — drives processes step by step, records the induced
 //!   [`History`], tracks quiescence and state-quiescence,
 //!   and can snapshot `mem(C)` at any configuration. Executors are `Clone`,
@@ -104,7 +105,7 @@ pub mod runner;
 pub mod sched;
 pub mod trace;
 
-pub use atomic::AtomicMem;
+pub use atomic::{Arena, AtomicMem};
 pub use exec::{Executor, RunError};
 pub use hi_core::{History, OpId, Pid};
 pub use lanes::render_lanes;

@@ -99,9 +99,10 @@ impl<'a> MemCtx<'a> {
 ///
 /// A step machine is written once against this trait and runs in both
 /// worlds: on [`MemCtx`] in the simulator, which allows one primitive per
-/// step and records footprints and traces, and on
-/// [`&AtomicMem`](crate::AtomicMem) on real threads, where each primitive
-/// is one sequentially consistent atomic instruction.
+/// step and records footprints and traces, and on an
+/// [`AtomicMem`](crate::AtomicMem)'s [`Arena`](crate::Arena) on real
+/// threads, where each primitive is one sequentially consistent atomic
+/// instruction.
 pub trait Cells {
     /// Primitive read of a base object.
     fn read(&mut self, cell: CellId) -> u64;
@@ -200,7 +201,8 @@ pub trait ProcessHandle<S: ObjectSpec>: Clone + PartialEq + std::fmt::Debug {
     /// the pending operation completes, `None` otherwise.
     ///
     /// The same text runs in both worlds: the executor passes a [`MemCtx`],
-    /// a threaded handle an [`&AtomicMem`](crate::AtomicMem).
+    /// a threaded handle an [`AtomicMem`](crate::AtomicMem)'s
+    /// [`Arena`](crate::Arena).
     ///
     /// # Panics
     ///

@@ -10,6 +10,7 @@
 //! a seeded one with a fault plan, or the explorer) and in what the history
 //! is linearized against.
 
+use hi_core::fingerprint::{Fingerprint, FingerprintWriter};
 use hi_core::{EnumerableSpec, HiViolation, ObjectSpec};
 use hi_sim::{
     run_workload_with_faults, Executor, FaultPlan, Faulty, Implementation, MemSnapshot, RunError,
@@ -38,7 +39,8 @@ enum Oracle<'a, S: ObjectSpec, I: Implementation<S>> {
 /// The step observer every lane audits through: built once from a
 /// [`SimAudit`] (or, for [`check_run`](crate::check_run), from a bare state
 /// oracle), it counts the permitted observation points and those in the
-/// post-crash world, and keeps the first violation.
+/// post-crash world, digests what it examined, and keeps the first
+/// violation.
 pub(crate) struct Auditor<'a, S: ObjectSpec, I: Implementation<S>> {
     /// `None` audits nothing ([`SimAudit::LinOnly`]).
     check: Option<(ObservationModel, Oracle<'a, S, I>)>,
@@ -48,6 +50,8 @@ pub(crate) struct Auditor<'a, S: ObjectSpec, I: Implementation<S>> {
     pub(crate) post_crash_points: u64,
     /// The first violation found, rendered.
     pub(crate) violation: Option<String>,
+    /// The sequence of examined (state, memory) pairs, digested.
+    digest: FingerprintWriter,
 }
 
 impl<'a, S: ObjectSpec, I: Implementation<S>> Auditor<'a, S, I> {
@@ -75,6 +79,7 @@ impl<'a, S: ObjectSpec, I: Implementation<S>> Auditor<'a, S, I> {
             points: 0,
             post_crash_points: 0,
             violation: None,
+            digest: FingerprintWriter::new(),
         }
     }
 
@@ -94,13 +99,19 @@ impl<'a, S: ObjectSpec, I: Implementation<S>> Auditor<'a, S, I> {
         if self.violation.is_some() {
             return;
         }
+        let digest = &mut self.digest;
         self.violation = match oracle {
             Oracle::State { oracle, monitor } => {
-                monitor.record(oracle(exec), exec.snapshot());
+                let (state, mem) = (oracle(exec), exec.snapshot());
+                digest.write_debug(&state);
+                digest.write_u64s(&mem);
+                monitor.record(state, mem);
                 monitor.violation().map(ToString::to_string)
             }
             Oracle::Canonical(oracle) => {
                 let view = oracle(&exec.snapshot());
+                digest.write_debug(&view.state);
+                digest.write_u64s(&view.observed);
                 (view.observed != view.canonical).then(|| {
                     format!(
                         "at a permitted ({model:?}) point, memory {:?} is not the canonical \
@@ -115,6 +126,12 @@ impl<'a, S: ObjectSpec, I: Implementation<S>> Auditor<'a, S, I> {
     /// Whether the auditor audits at all.
     pub(crate) fn audited(&self) -> bool {
         self.check.is_some()
+    }
+
+    /// The digest of every examined point's (state, memory) pair, in
+    /// order: it moves if the audit looks at other configurations.
+    pub(crate) fn digest(&self) -> Fingerprint {
+        self.digest.finish()
     }
 
     /// Distinct abstract states a state-oracle audit observed (0 for the

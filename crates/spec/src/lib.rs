@@ -13,7 +13,7 @@
 //!   They snapshot `mem(C)` at the configurations their observation model
 //!   permits and feed a [`CanonicalMap`](hi_core::CanonicalMap); any state
 //!   observed with two distinct representations is a violation.
-//! * **Exhaustive exploration** ([`explore`]): a schedule-space model
+//! * **Exhaustive exploration** ([`explore`](mod@explore)): a schedule-space model
 //!   checker over *all* schedules of a small workload, with sleep-set
 //!   partial-order reduction and configuration deduplication
 //!   ([`explore::explore_with`]) that preserve exactly the properties the

@@ -2,7 +2,7 @@
 //!
 //! [`check_sim_object`](crate::check_sim_object) drives one seeded schedule;
 //! [`check_sim_object_exhaustive`] drives **all** of them. It runs the
-//! reduced schedule-space explorer ([`crate::explore`]) over a role-mirrored
+//! reduced schedule-space explorer ([`crate::explore`](mod@crate::explore)) over a role-mirrored
 //! workload and applies the full oracle stack along the way:
 //!
 //! * the object's [`SimAudit`](crate::SimAudit) at *every* reachable

@@ -90,6 +90,7 @@
 //! assert!(report.audited && report.hi_points > 0 && report.ops > 0);
 //! ```
 
+use hi_core::fingerprint::Fingerprint;
 use hi_core::{
     handle_seed, menus_for, random_script, EnumerableSpec, HiLevel, ObjectSpec, Progress, Roles,
 };
@@ -272,6 +273,9 @@ pub struct SimObjectReport {
     pub audited: bool,
     /// `mem(C)` of the final (quiescent) configuration.
     pub final_snapshot: MemSnapshot,
+    /// A digest of the (state, memory) pair at each audited point, in run
+    /// order (the empty digest when not audited).
+    pub audit_digest: Fingerprint,
 }
 
 /// The role-mirrored workload of a [`SimObject`] under `seed`: per-role
@@ -336,6 +340,7 @@ where
         hi_points,
         audited: auditor.audited(),
         final_snapshot: exec.snapshot(),
+        audit_digest: auditor.digest(),
     })
 }
 

@@ -28,8 +28,12 @@
 //! * [`SimUniversal`] — Algorithm 5 as simulator step machines over
 //!   [`hi_llsc::LlscOp`] sub-machines, with the `||` interleavings of lines
 //!   6, 18 and 25 modeled as strict left/right alternation.
-//! * [`AtomicUniversal`] — the threaded backend over
-//!   [`hi_llsc::PackedRLlsc`].
+//! * [`AtomicUniversal`] — the threaded backend: lines 4–28 as one hand
+//!   loop, with the same primitive order and helping priority as
+//!   [`SimUniversal`], whose every R-LLSC call is an [`hi_llsc::LlscOp`]
+//!   sub-machine, on an [`hi_sim::AtomicMem`] laid out by
+//!   [`SimUniversal`]'s `init_memory()`. Running [`UniversalProcess`]
+//!   itself on threads costs 2–3× the hand loop (see ROADMAP item 1).
 //! * [`CasUniversal`] — the §6 intro baseline: a single CAS cell holding the
 //!   state; perfect HI but only lock-free.
 //! * [`LeakyUniversal`] — a deliberately *non*-HI contrast: [`CasUniversal`]

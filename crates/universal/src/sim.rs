@@ -137,12 +137,12 @@ enum Pc {
 #[derive(Clone, Debug)]
 pub struct SimUniversal<S: EnumerableSpec> {
     spec: S,
-    codec: Arc<Codec<S>>,
-    head: CellId,
-    ann: Vec<CellId>,
+    pub(crate) codec: Arc<Codec<S>>,
+    pub(crate) head: CellId,
+    pub(crate) ann: Vec<CellId>,
     mem: SharedMem,
-    n: usize,
-    release: bool,
+    pub(crate) n: usize,
+    pub(crate) release: bool,
 }
 
 impl<S: EnumerableSpec> SimUniversal<S> {

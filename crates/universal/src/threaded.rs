@@ -1,16 +1,19 @@
-//! The threaded backend of Algorithm 5 over [`PackedRLlsc`] words.
+//! The threaded backend of Algorithm 5: lines 4–28 as one hand-written
+//! loop on an [`AtomicMem`] laid out by [`SimUniversal`], every R-LLSC call
+//! in it an [`LlscOp`] sub-machine — the text the simulator certifies as
+//! Algorithm 6.
 //!
-//! The `||` interleavings of lines 6, 18 and 25 become poll loops over the
-//! single-attempt R-LLSC operations: one `ll_attempt` (one read + one CAS),
-//! then one escape check, repeated — each iteration makes progress exactly
-//! like the simulator's left/right alternation.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! The `||` interleavings of lines 6, 18 and 25 become poll loops: one `LL`
+//! attempt (the sub-machine's read step, then its CAS step), then one
+//! escape check, repeated — each iteration makes progress exactly like the
+//! simulator's left/right alternation.
 
 use hi_core::EnumerableSpec;
-use hi_llsc::PackedRLlsc;
+use hi_llsc::{LlscLayout, LlscOp, LlscResult};
+use hi_sim::{Arena, AtomicMem, CellId, Implementation};
 
-use crate::codec::{Codec, ANN_BOT, ANN_OP, ANN_RESP};
+use crate::codec::{ANN_BOT, ANN_OP, ANN_RESP};
+use crate::sim::SimUniversal;
 
 /// The wait-free state-quiescent HI universal object, threaded.
 ///
@@ -20,122 +23,80 @@ use crate::codec::{Codec, ANN_BOT, ANN_OP, ANN_RESP};
 /// use hi_core::objects::{CounterSpec, CounterOp, CounterResp};
 /// use hi_universal::AtomicUniversal;
 ///
-/// let u = AtomicUniversal::new(CounterSpec::new(0, 100, 0), 2);
-/// let mut h0 = u.handle(0);
-/// let mut h1 = u.handle(1);
-/// h0.apply(CounterOp::Inc);
-/// h1.apply(CounterOp::Inc);
-/// assert_eq!(h0.apply(CounterOp::Read), CounterResp::Value(2));
+/// let mut u = AtomicUniversal::new(CounterSpec::new(0, 100, 0), 2);
+/// let mut h = u.handles();
+/// h[0].apply(CounterOp::Inc);
+/// h[1].apply(CounterOp::Inc);
+/// assert_eq!(h[0].apply(CounterOp::Read), CounterResp::Value(2));
+/// drop(h);
 /// assert_eq!(u.snapshot(), u.canonical(&2));
 /// ```
 #[derive(Debug)]
 pub struct AtomicUniversal<S: EnumerableSpec> {
-    spec: S,
-    codec: Codec<S>,
-    head: PackedRLlsc,
-    ann: Vec<PackedRLlsc>,
-    claimed: Vec<AtomicBool>,
-    n: usize,
-    release: bool,
+    sim: SimUniversal<S>,
+    mem: AtomicMem,
 }
 
 impl<S: EnumerableSpec> AtomicUniversal<S> {
     /// Creates the object for `spec`, shared by `n` processes.
     pub fn new(spec: S, n: usize) -> Self {
-        let codec = Codec::new(&spec, n);
-        let head = PackedRLlsc::new(
-            codec.head_layout(),
-            codec.initial_head(&spec.initial_state()),
-        );
-        let ann = (0..n)
-            .map(|_| PackedRLlsc::new(codec.ann_layout(), codec.enc_ann_bot()))
-            .collect();
-        let claimed = (0..n).map(|_| AtomicBool::new(false)).collect();
-        AtomicUniversal {
-            spec,
-            codec,
-            head,
-            ann,
-            claimed,
-            n,
-            release: true,
-        }
+        AtomicUniversal::on(SimUniversal::new(spec, n))
     }
 
     /// The §6.1 ablation: Algorithm 5 without the red `RL` lines. Still
     /// linearizable and wait-free, but leftover context bits leak history —
-    /// see `SimUniversal::without_release` for the simulator twin and the
+    /// see [`SimUniversal::without_release`] for the simulator twin and the
     /// `ablation_release` integration tests.
     pub fn without_release(spec: S, n: usize) -> Self {
-        let mut u = AtomicUniversal::new(spec, n);
-        u.release = false;
-        u
+        AtomicUniversal::on(SimUniversal::without_release(spec, n))
     }
 
-    /// The object's specification.
-    pub fn spec(&self) -> &S {
-        &self.spec
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the `RL` clearing lines are enabled (false only for the
-    /// [`without_release`](AtomicUniversal::without_release) ablation).
-    pub fn releases(&self) -> bool {
-        self.release
-    }
-
-    /// Claims the handle of process `pid` (each pid may be claimed once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range or already claimed.
-    pub fn handle(&self, pid: usize) -> UniversalHandle<'_, S> {
-        assert!(pid < self.n, "pid {pid} out of range");
+    /// Lays `sim`'s memory out on atomics.
+    fn on(sim: SimUniversal<S>) -> Self {
+        let head = sim.head.0;
         assert!(
-            !self.claimed[pid].swap(true, Ordering::SeqCst),
-            "handle for pid {pid} already claimed"
+            sim.ann.iter().enumerate().all(|(j, a)| a.0 == head + 1 + j),
+            "announce[j] is the word at head + 1 + j"
         );
-        UniversalHandle {
-            u: self,
-            pid,
-            priority: pid,
+        AtomicUniversal {
+            mem: AtomicMem::new(sim.init_memory()),
+            sim,
         }
     }
 
-    /// Claims all `n` handles at once, releasing any earlier claims first —
-    /// sound because the `&mut` receiver proves no handle is outstanding.
-    /// This is the construction surface the `hi-api` facade drives.
+    /// The simulator twin whose memory layout this object runs on.
+    pub fn sim(&self) -> &SimUniversal<S> {
+        &self.sim
+    }
+
+    /// The `n` per-process handles, each starting its helping priority at
+    /// its own pid.
     pub fn handles(&mut self) -> Vec<UniversalHandle<'_, S>> {
-        for c in &self.claimed {
-            c.store(false, Ordering::SeqCst);
-        }
-        let this: &Self = self;
-        (0..this.n).map(|pid| this.handle(pid)).collect()
+        let u: &Self = self;
+        (0..u.sim.n)
+            .map(|pid| UniversalHandle {
+                u,
+                pid,
+                priority: pid,
+            })
+            .collect()
     }
 
     /// Raw memory snapshot: the head word then the announce words. Only an
     /// atomic snapshot at state-quiescent points of the caller's protocol.
     pub fn snapshot(&self) -> Vec<u64> {
-        let mut snap = vec![self.head.raw()];
-        snap.extend(self.ann.iter().map(PackedRLlsc::raw));
-        snap
+        self.mem.snapshot()
     }
 
     /// The canonical representation of state `q` under
     /// [`snapshot`](AtomicUniversal::snapshot).
     pub fn canonical(&self, q: &S::State) -> Vec<u64> {
-        let mut snap = vec![self.codec.head_layout().reset(self.codec.enc_head(q, None))];
-        snap.extend(std::iter::repeat(0).take(self.n));
-        snap
+        self.sim.canonical(q)
     }
 
     /// Decodes the current abstract state from `head`.
     pub fn abstract_state(&self) -> S::State {
-        self.codec.dec_head(self.head.load()).0
+        self.sim.abstract_state(&self.mem.snapshot())
     }
 }
 
@@ -147,6 +108,53 @@ pub struct UniversalHandle<'a, S: EnumerableSpec> {
     priority: usize,
 }
 
+/// One operation's reach into the arena: the cell view, taken once per
+/// apply, and the two R-LLSC layouts. Announce words sit right after
+/// `head`, so their cell ids are arithmetic.
+struct Words<'a> {
+    cells: Arena<'a>,
+    head: CellId,
+    head_layout: LlscLayout,
+    ann_layout: LlscLayout,
+    pid: usize,
+}
+
+impl Words<'_> {
+    fn ann(&self, j: usize) -> CellId {
+        CellId(self.head.0 + 1 + j)
+    }
+
+    fn layout(&self, cell: CellId) -> LlscLayout {
+        if cell == self.head {
+            self.head_layout
+        } else {
+            self.ann_layout
+        }
+    }
+
+    /// One R-LLSC call, its sub-machine stepped until it responds.
+    #[inline(always)]
+    fn call(&mut self, mut op: LlscOp) -> LlscResult {
+        let layout = self.layout(op.cell());
+        loop {
+            if let Some(result) = op.step(&layout, &mut self.cells) {
+                return result;
+            }
+        }
+    }
+
+    /// One `LL` attempt on `cell`: the sub-machine's read step, then its
+    /// CAS step. `None` if the CAS met interference.
+    #[inline(always)]
+    fn ll_attempt(&mut self, cell: CellId) -> Option<u64> {
+        let layout = self.layout(cell);
+        let mut ll = LlscOp::ll(self.pid, cell);
+        let read = ll.step(&layout, &mut self.cells);
+        debug_assert!(read.is_none(), "an LL's first step is its read");
+        ll.step(&layout, &mut self.cells).map(LlscResult::val)
+    }
+}
+
 impl<S: EnumerableSpec> UniversalHandle<'_, S> {
     /// Applies `op` and returns its response. Wait-free for state-changing
     /// operations (via announce/helping), one load for read-only ones.
@@ -154,35 +162,42 @@ impl<S: EnumerableSpec> UniversalHandle<'_, S> {
     /// After one `op → index` lookup everything runs on the codec's indices
     /// and transition table; the response value is cloned once, at return.
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
-        let c = &self.u.codec;
+        let c = &*self.u.sim.codec;
         let o = c.op_index(&op);
+        let mut w = Words {
+            cells: self.u.mem.cells(),
+            head: self.u.sim.head,
+            head_layout: c.head_layout(),
+            ann_layout: c.ann_layout(),
+            pid: self.pid,
+        };
         let r = if c.is_read_only(o) {
-            let (q, _) = c.unpack_head(self.u.head.load());
+            let (q, _) = c.unpack_head(w.call(LlscOp::load(w.head)).val());
             c.transition(q, o).1
         } else {
-            self.apply_state_changing(o)
+            self.apply_state_changing(o, w)
         };
         c.resp(r).clone()
     }
 
     /// Lines 4–28 of Algorithm 5 for the op with index `o`; returns the
     /// index of its response.
-    fn apply_state_changing(&mut self, o: u64) -> u64 {
-        let i = self.pid;
-        let u = self.u;
-        let c = &u.codec;
-        let ann_tag = |j: usize| c.unpack_ann(u.ann[j].load()).0;
-        u.ann[i].store(c.pack_ann(ANN_OP, o)); // line 4
+    fn apply_state_changing(&mut self, o: u64, mut w: Words<'_>) -> u64 {
+        let w = &mut w;
+        let (i, head) = (self.pid, w.head);
+        let (c, release) = (&*self.u.sim.codec, self.u.sim.release);
+        let ann_tag = |w: &mut Words<'_>, j| c.unpack_ann(w.call(LlscOp::load(w.ann(j))).val()).0;
+        w.call(LlscOp::store(w.ann(i), c.pack_ann(ANN_OP, o))); // line 4
         'outer: loop {
-            if ann_tag(i) == ANN_RESP {
+            if ann_tag(w, i) == ANN_RESP {
                 break 'outer; // line 5
             }
             // Line 6: LL(head) ∥ response check.
             let head_val = loop {
-                if let Some(v) = u.head.ll_attempt(i) {
+                if let Some(v) = w.ll_attempt(head) {
                     break v;
                 }
-                if ann_tag(i) == ANN_RESP {
+                if ann_tag(w, i) == ANN_RESP {
                     break 'outer; // 6R: goto line 24
                 }
             };
@@ -190,50 +205,52 @@ impl<S: EnumerableSpec> UniversalHandle<'_, S> {
             match pending {
                 None => {
                     // Lines 8–15: pick an operation (helped or own), apply.
-                    let (apply_op, j) = match c.unpack_ann(u.ann[self.priority].load()) {
+                    let help = w.call(LlscOp::load(w.ann(self.priority))).val();
+                    let (apply_op, j) = match c.unpack_ann(help) {
                         (ANN_OP, help) => (help, self.priority),
                         _ => {
-                            if ann_tag(i) != ANN_OP {
+                            if ann_tag(w, i) != ANN_OP {
                                 continue 'outer; // line 11
                             }
                             (o, i)
                         }
                     };
                     let (state, rsp) = c.transition(q, apply_op);
-                    if u.head.sc(i, c.pack_head(state, Some((rsp, j)))) {
-                        self.priority = (self.priority + 1) % u.n; // line 15
+                    let new = c.pack_head(state, Some((rsp, j)));
+                    if w.call(LlscOp::sc(i, head, new)).bool() {
+                        self.priority = (self.priority + 1) % self.u.sim.n; // line 15
                     }
                 }
                 Some((rsp, j)) => {
                     // Line 18: LL(announce[j]) ∥ response check.
                     let a_val = loop {
-                        if let Some(a) = u.ann[j].ll_attempt(i) {
-                            break Some(a);
+                        if let Some(a) = w.ll_attempt(w.ann(j)) {
+                            break a;
                         }
-                        if ann_tag(i) == ANN_RESP {
-                            if u.release {
-                                u.ann[j].rl(i); // 18R.2
+                        if ann_tag(w, i) == ANN_RESP {
+                            if release {
+                                w.call(LlscOp::rl(i, w.ann(j))); // 18R.2
                             }
-                            break None;
+                            break 'outer;
                         }
                     };
-                    let Some(a_val) = a_val else { break 'outer };
                     let (a_tag, _) = c.unpack_ann(a_val);
-                    if u.head.vl(i) {
+                    if w.call(LlscOp::vl(i, head)).bool() {
                         // line 19
                         if a_tag == ANN_OP {
-                            u.ann[j].sc(i, c.pack_ann(ANN_RESP, rsp)); // line 20
+                            let resp = c.pack_ann(ANN_RESP, rsp);
+                            w.call(LlscOp::sc(i, w.ann(j), resp)); // line 20
                         }
-                        u.head.sc(i, c.pack_head(q, None)); // line 21
+                        w.call(LlscOp::sc(i, head, c.pack_head(q, None))); // line 21
                     }
-                    if a_tag == ANN_BOT && u.release {
-                        u.ann[j].rl(i); // line 22
+                    if a_tag == ANN_BOT && release {
+                        w.call(LlscOp::rl(i, w.ann(j))); // line 22
                     }
                 }
             }
         }
         // Line 24.
-        let ann = u.ann[i].load();
+        let ann = w.call(LlscOp::load(w.ann(i))).val();
         let response = match c.unpack_ann(ann) {
             (ANN_RESP, r) => r,
             _ => panic!(
@@ -244,24 +261,25 @@ impl<S: EnumerableSpec> UniversalHandle<'_, S> {
         let mine = |v: u64| matches!(c.unpack_head(v).1, Some((_, j)) if j == i);
         // Line 25: LL(head) ∥ "my response is gone" check.
         let ll_result = loop {
-            if let Some(v) = u.head.ll_attempt(i) {
+            if let Some(v) = w.ll_attempt(head) {
                 break Some(v);
             }
-            if !mine(u.head.load()) {
+            if !mine(w.call(LlscOp::load(head)).val()) {
                 break None; // 25R.2: goto line 27
             }
         };
         match ll_result {
             Some(v) if mine(v) => {
-                u.head.sc(i, c.pack_head(c.unpack_head(v).0, None)); // line 26
+                let q = c.unpack_head(v).0;
+                w.call(LlscOp::sc(i, head, c.pack_head(q, None))); // line 26
             }
             _ => {
-                if u.release {
-                    u.head.rl(i); // line 27
+                if release {
+                    w.call(LlscOp::rl(i, head)); // line 27
                 }
             }
         }
-        u.ann[i].store(c.enc_ann_bot()); // line 28
+        w.call(LlscOp::store(w.ann(i), c.enc_ann_bot())); // line 28
         response
     }
 }
@@ -275,31 +293,23 @@ mod tests {
 
     #[test]
     fn sequential_counter() {
-        let u = AtomicUniversal::new(CounterSpec::new(-5, 5, 0), 2);
-        let mut h = u.handle(0);
-        h.apply(CounterOp::Inc);
-        h.apply(CounterOp::Inc);
-        h.apply(CounterOp::Dec);
-        assert_eq!(h.apply(CounterOp::Read), CounterResp::Value(1));
+        let mut u = AtomicUniversal::new(CounterSpec::new(-5, 5, 0), 2);
+        let mut h = u.handles();
+        h[0].apply(CounterOp::Inc);
+        h[0].apply(CounterOp::Inc);
+        h[0].apply(CounterOp::Dec);
+        assert_eq!(h[0].apply(CounterOp::Read), CounterResp::Value(1));
+        drop(h);
         assert_eq!(u.snapshot(), u.canonical(&1));
-    }
-
-    #[test]
-    #[should_panic(expected = "already claimed")]
-    fn double_claim_rejected() {
-        let u = AtomicUniversal::new(CounterSpec::new(0, 1, 0), 2);
-        let _a = u.handle(0);
-        let _b = u.handle(0);
     }
 
     #[test]
     fn concurrent_increments_all_count() {
         let n = 4;
         let per_thread = 500;
-        let u = AtomicUniversal::new(CounterSpec::new(0, (n * per_thread) as i64, 0), n);
+        let mut u = AtomicUniversal::new(CounterSpec::new(0, (n * per_thread) as i64, 0), n);
         std::thread::scope(|s| {
-            for pid in 0..n {
-                let mut h = u.handle(pid);
+            for mut h in u.handles() {
                 s.spawn(move || {
                     for _ in 0..per_thread {
                         h.apply(CounterOp::Inc);
@@ -315,17 +325,17 @@ mod tests {
     fn concurrent_queue_preserves_elements() {
         // Two producers, one consumer thread over a universal queue.
         let spec = BoundedQueueSpec::new(4, 8);
-        let u = AtomicUniversal::new(spec, 3);
+        let mut u = AtomicUniversal::new(spec, 3);
         let consumed: Vec<u32> = std::thread::scope(|s| {
-            for pid in 0..2u32 {
-                let mut h = u.handle(pid as usize);
+            let mut handles = u.handles();
+            let mut h = handles.pop().expect("three handles");
+            for (pid, mut h) in (0..2u32).zip(handles) {
                 s.spawn(move || {
                     for _ in 0..200 {
                         h.apply(QueueOp::Enqueue(pid + 1));
                     }
                 });
             }
-            let mut h = u.handle(2);
             let consumer = s.spawn(move || {
                 let mut got = Vec::new();
                 let mut empties = 0;
@@ -347,24 +357,15 @@ mod tests {
 
     #[test]
     fn quiescent_memory_identical_across_histories() {
-        let mk = || {
-            let u = AtomicUniversal::new(CounterSpec::new(0, 10, 0), 2);
-            {
-                let mut h = u.handle(0);
-                h.apply(CounterOp::Inc);
-            }
-            u
-        };
-        let u1 = mk();
+        let mut u1 = AtomicUniversal::new(CounterSpec::new(0, 10, 0), 2);
+        u1.handles()[0].apply(CounterOp::Inc);
         // Second history: up, down, up via both handles.
-        let u2 = AtomicUniversal::new(CounterSpec::new(0, 10, 0), 2);
-        {
-            let mut h0 = u2.handle(0);
-            let mut h1 = u2.handle(1);
-            h0.apply(CounterOp::Inc);
-            h1.apply(CounterOp::Inc);
-            h0.apply(CounterOp::Dec);
-        }
+        let mut u2 = AtomicUniversal::new(CounterSpec::new(0, 10, 0), 2);
+        let mut h = u2.handles();
+        h[0].apply(CounterOp::Inc);
+        h[1].apply(CounterOp::Inc);
+        h[0].apply(CounterOp::Dec);
+        drop(h);
         assert_eq!(u1.snapshot(), u2.snapshot());
     }
 }

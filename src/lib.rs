@@ -27,7 +27,7 @@
 //! * [`universal`] — Algorithm 5: the wait-free state-quiescent HI universal
 //!   construction, plus baselines.
 //! * [`hashtable`] — HI hash tables: the shared Robin Hood primitives, the
-//!   sequential canonical table and the phase-concurrent table of [42].
+//!   sequential canonical table and the phase-concurrent table of \[42\].
 //! * [`shard`] — the phase-free concurrent Robin Hood engine
 //!   (arXiv:2503.21016 direction; a fixed-capacity table is one shard) and
 //!   its scale-out: the sharded table-of-tables with per-shard seqlocks
@@ -40,7 +40,7 @@
 //!   drain-barrier mid-soak HI audits, online (mid-flight) HI probes on
 //!   perfect-HI backends, and per-span tail-latency histograms over the
 //!   [`soak_registry`](hi_service::soak_registry) scenarios.
-//! * [`bench`] — the log-scale latency histogram, the `BENCH_*.json`
+//! * [`bench`](mod@bench) — the log-scale latency histogram, the `BENCH_*.json`
 //!   record writers with their provenance, and the same-host A/B gate
 //!   [`ab`](hi_bench::ab) behind the `perf_ab` CLI.
 //!

@@ -87,15 +87,10 @@ const ORDERING_ALLOWLIST: &[(&str, usize, &str)] = &[
         "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
     ),
     (
-        "crates/llsc/src/threaded.rs",
-        1,
-        "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
-    ),
-    (
         "crates/sim/src/atomic.rs",
         1,
         "ORD = SeqCst: AtomicMem's one ordering, matches the simulator's sequential consistency; \
-         the register, set and queue step machines run on it",
+         the register, set, queue and LL/SC step machines and Algorithm 5's hand loop run on it",
     ),
     (
         "crates/service/src/service.rs",
@@ -106,11 +101,6 @@ const ORDERING_ALLOWLIST: &[(&str, usize, &str)] = &[
         "crates/shard/src/threaded.rs",
         1,
         "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
-    ),
-    (
-        "crates/universal/src/threaded.rs",
-        2,
-        "SeqCst swap/store on the announce slots (Algorithm 5's helping handshake)",
     ),
     (
         "tests/hashtable_threaded.rs",
